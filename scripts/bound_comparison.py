@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from kdframes.bounds import etf_spectral_bound, gershgorin_disks, max_eig_upper_bound
+from kdframes.bounds import etf_spectral_bound, gershgorin_union, max_eig_upper_bound
 from kdframes.channels import principal_kraus, unraveling_gram
 from kdframes.frames import (
     EtfParameters,
@@ -35,7 +35,7 @@ def scan(frame, name: str, states: int, seed: int) -> None:
         true_max = hermitian_eig(gram).eigenvalues[0]
         interval_bound = max_eig_upper_bound(gram)
         closed_bound = etf_spectral_bound(params, purity(rho))
-        gershgorin_bound = max(c.real + r for c, r in gershgorin_disks(gram))
+        gershgorin_bound = gershgorin_union(gram).upper
         winner = "interval" if interval_bound <= gershgorin_bound else "gershgorin"
         print(
             f"{purity(rho):8.4f} {true_max:10.6f} {interval_bound:10.6f} "

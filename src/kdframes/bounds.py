@@ -46,9 +46,6 @@ class Interval:
     def radius(self) -> float:
         return 0.5 * (self.upper - self.lower)
 
-    def contains(self, value: float, tol: float = 0.0) -> bool:
-        return self.lower - tol <= value <= self.upper + tol
-
     def slack(self, value: float) -> float:
         """Distance from value to the nearer endpoint; negative outside."""
         return min(value - self.lower, self.upper - value)
@@ -89,7 +86,7 @@ def _sqrt_clamped(x: float, tol: float = STRUCTURAL_TOL) -> float:
 
 def _check_purity(params: EtfParameters, purity: float) -> None:
     lo = 1.0 / params.d
-    if not (lo - 1e-12 <= purity <= 1.0 + 1e-12):
+    if not (lo - STRUCTURAL_TOL <= purity <= 1.0 + STRUCTURAL_TOL):
         raise ValueError(f"purity must lie in [1/d, 1] = [{lo}, 1], got {purity}")
 
 
@@ -176,6 +173,15 @@ def gershgorin_disks(m) -> list[tuple[complex, float]]:
     magnitudes = np.abs(m)
     radii = magnitudes.sum(axis=1) - np.diagonal(magnitudes)
     return [(complex(m[k, k]), float(radii[k])) for k in range(m.shape[0])]
+
+
+def gershgorin_union(m) -> Interval:
+    """Real interval holding every eigenvalue of a PSD matrix: the real
+    extent of its Gershgorin disks, with the lower end clamped at 0."""
+    disks = gershgorin_disks(m)
+    lower = min(center.real - radius for center, radius in disks)
+    upper = max(center.real + radius for center, radius in disks)
+    return Interval(max(0.0, lower), upper)
 
 
 def etf_eigen_interval(params: EtfParameters, purity: float) -> Interval:

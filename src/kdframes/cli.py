@@ -19,10 +19,12 @@ import numpy as np
 
 from . import io
 from .bounds import (
+    BoundReport,
     etf_eigen_interval,
     etf_spectral_bound,
     eigen_interval,
     gershgorin_disks,
+    gershgorin_union,
     ic_upper_bound,
     max_eig_upper_bound,
     renyi_uncertainty_bound,
@@ -54,6 +56,7 @@ from .linalg import (
     NUMERIC_TOL,
     SATURATION_TOL,
     STRUCTURAL_TOL,
+    Tolerances,
     haar_unitary,
     hermitian_eig,
 )
@@ -70,43 +73,41 @@ class CheckFailure(Exception):
 
 
 def report_options(f):
-    f = click.option(
+    """Add --format and the --tol-* options; the command gets ``fmt`` and one ``tol``."""
+
+    def command(fmt, tol_structural, tol_numeric, tol_saturation, **params) -> None:
+        f(fmt=fmt, tol=Tolerances(tol_structural, tol_numeric, tol_saturation), **params)
+
+    command.__doc__ = f.__doc__
+    command = click.option(
         "--format",
         "fmt",
         type=click.Choice(["json", "table"]),
         default=None,
         help="Force one output format instead of JSON plus terminal table.",
-    )(f)
-    f = click.option(
+    )(command)
+    command = click.option(
         "--tol-structural",
         type=float,
         default=STRUCTURAL_TOL,
         show_default=True,
         help="Absolute tolerance for structural identities.",
-    )(f)
-    f = click.option(
+    )(command)
+    command = click.option(
         "--tol-numeric",
         type=float,
         default=NUMERIC_TOL,
         show_default=True,
         help="Tolerance for numerical comparisons and pass flags.",
-    )(f)
-    f = click.option(
+    )(command)
+    command = click.option(
         "--tol-saturation",
         type=float,
         default=SATURATION_TOL,
         show_default=True,
         help="Tolerance below which a bound counts as saturated.",
-    )(f)
-    return f
-
-
-def _tolerances(tol_structural, tol_numeric, tol_saturation) -> dict:
-    return {
-        "structural": tol_structural,
-        "numeric": tol_numeric,
-        "saturation": tol_saturation,
-    }
+    )(command)
+    return command
 
 
 def _floats(values) -> list[float]:
@@ -166,21 +167,40 @@ def _emit(report: dict, fmt: str | None) -> None:
         click.echo(_render_table(report), err=True)
 
 
-def _load_frame(path) -> Frame:
+def _finish(fmt: str | None, build, *args, label: str = "check failed") -> None:
+    """Build a report, emit it, and exit 1 naming the failed checks, if any."""
     try:
-        return io.load_frame(path)
-    except io.FrameFileError as exc:
-        raise InputError(str(exc)) from None
-    except ValueError as exc:
-        click.echo(f"invariant failure: {exc}", err=True)
+        report, failures = build(*args)
+    except CheckFailure as exc:
+        click.echo(f"{label}: {exc}", err=True)
+        sys.exit(1)
+    _emit(report, fmt)
+    if failures:
+        click.echo(f"{label}: {', '.join(failures)}", err=True)
         sys.exit(1)
 
 
-def _resolve_state(spec: str, frame: Frame) -> DensityMatrix:
+def _write_frame(f: Frame, output) -> None:
+    if output:
+        io.dump_frame(f, output)
+    else:
+        click.echo(json.dumps(io.frame_to_dict(f), indent=2))
+
+
+def _read_input(read, *args):
+    """Call an io reader; a document it cannot interpret is unusable input (exit 2)."""
     try:
-        return io.resolve_state(spec, frame)
+        return read(*args)
     except io.FrameFileError as exc:
         raise InputError(str(exc)) from None
+
+
+def _load_frame(path) -> Frame:
+    try:
+        return _read_input(io.load_frame, path)
+    except ValueError as exc:
+        click.echo(f"invariant failure: {exc}", err=True)
+        sys.exit(1)
 
 
 def _parse_alphas(text: str) -> list[float]:
@@ -197,23 +217,28 @@ def _alpha_key(alpha: float) -> str:
     return format(alpha, "g")
 
 
+def _require_tight(frame: Frame, tol: Tolerances) -> None:
+    if not is_tight(frame, tol.numeric):
+        raise CheckFailure("frame is not tight, it induces no POVM")
+
+
+def _relative_error(bound: float, true_max: float) -> float | None:
+    return (bound - true_max) / true_max if true_max > 0 else None
+
+
 # ----------------------------------------------------------------------
-# report builders (pure functions, reused by tests and scripts)
+# report builders: pure functions returning (report, failed check names)
 # ----------------------------------------------------------------------
 
 
 def build_frame_check_report(
-    raw_vectors: np.ndarray,
-    *,
-    tol_structural: float = STRUCTURAL_TOL,
-    tol_numeric: float = NUMERIC_TOL,
-    tol_saturation: float = SATURATION_TOL,
-) -> tuple[dict, bool, list[str]]:
-    """Certify a raw vector array; returns (report, passed, failed invariant names)."""
+    raw_vectors: np.ndarray, tol: Tolerances = Tolerances()
+) -> tuple[dict, list[str]]:
+    """Certify a raw vector array; returns (report, failed invariant names)."""
     n, d = raw_vectors.shape
     norm_dev = float(np.abs(np.linalg.norm(raw_vectors, axis=1) - 1.0).max())
     invariants = {
-        "unit_norms": {"pass": norm_dev <= tol_numeric, "max_deviation": norm_dev},
+        "unit_norms": {"pass": norm_dev <= tol.numeric, "max_deviation": norm_dev},
         "n_ge_d": {"pass": bool(n >= d)},
     }
     report: dict = {
@@ -222,44 +247,36 @@ def build_frame_check_report(
         "d": d,
         "redundancy": n / d,
         "invariants": invariants,
-        "tolerances": _tolerances(tol_structural, tol_numeric, tol_saturation),
+        "tolerances": tol.as_dict(),
     }
     if n >= d:
         frame = Frame(raw_vectors, norm_tol=np.inf)
-        measured_c = is_equiangular(frame, tol_numeric) if n >= 2 else None
-        spectrum = hermitian_eig(frame_operator(frame), tol=tol_numeric).eigenvalues
+        measured_c = is_equiangular(frame, tol.numeric) if n >= 2 else None
+        spectrum = hermitian_eig(frame_operator(frame), tol=tol.numeric).eigenvalues
         report.update(
             {
-                "tight": is_tight(frame, tol_numeric),
+                "tight": is_tight(frame, tol.numeric),
                 "equiangular": measured_c is not None,
                 "measured_c": measured_c,
                 "expected_c": coherence_constant(n, d),
                 "frame_operator_spectrum": _floats(spectrum),
             }
         )
-    failed = [name for name, entry in invariants.items() if not entry["pass"]]
-    passed = not failed
-    report["passed"] = passed
-    return report, passed, failed
+    failures = [name for name, entry in invariants.items() if not entry["pass"]]
+    report["passed"] = not failures
+    return report, failures
 
 
 def build_kd_report(
-    frame: Frame,
-    rho: DensityMatrix,
-    state_spec: str,
-    *,
-    tol_structural: float = STRUCTURAL_TOL,
-    tol_numeric: float = NUMERIC_TOL,
-    tol_saturation: float = SATURATION_TOL,
-) -> tuple[dict, bool]:
+    frame: Frame, rho: DensityMatrix, state_spec: str, tol: Tolerances = Tolerances()
+) -> tuple[dict, list[str]]:
     """Gram and Kirkwood-Dirac matrices plus their proportionality residual."""
-    if not is_tight(frame, tol_numeric):
-        raise CheckFailure("frame is not tight, it induces no POVM")
-    unraveling = principal_kraus(frame, tol_numeric)
+    _require_tight(frame, tol)
+    unraveling = principal_kraus(frame, tol.numeric)
     gram = unraveling_gram(unraveling, rho)
-    kd = kd_matrix(povm_from_frame(frame, tol_numeric), rho)
+    kd = kd_matrix(povm_from_frame(frame, tol.numeric), rho)
     residual = float(np.abs(kd - (frame.d / frame.n) * gram).max())
-    passed = residual <= tol_structural
+    failures = [] if residual <= tol.structural else ["kd_vs_scaled_gram_residual"]
     report = {
         "command": "kd",
         "n": frame.n,
@@ -270,10 +287,10 @@ def build_kd_report(
         "gram_spectrum": _floats(hermitian_eig(gram).eigenvalues),
         "kd_spectrum": _floats(hermitian_eig(kd).eigenvalues),
         "kd_vs_scaled_gram_residual": residual,
-        "tolerances": _tolerances(tol_structural, tol_numeric, tol_saturation),
-        "passed": passed,
+        "tolerances": tol.as_dict(),
+        "passed": not failures,
     }
-    return report, passed
+    return report, failures
 
 
 def build_bounds_report(
@@ -281,37 +298,32 @@ def build_bounds_report(
     rho: DensityMatrix,
     state_spec: str,
     alphas: list[float],
-    *,
-    tol_structural: float = STRUCTURAL_TOL,
-    tol_numeric: float = NUMERIC_TOL,
-    tol_saturation: float = SATURATION_TOL,
-) -> tuple[dict, bool]:
+    tol: Tolerances = Tolerances(),
+) -> tuple[dict, list[str]]:
     """Eigenvalue-location and entropy bounds against achieved values."""
-    if not is_tight(frame, tol_numeric):
-        raise CheckFailure("frame is not tight, it induces no POVM")
-    if is_equiangular(frame, tol_numeric) is None:
+    _require_tight(frame, tol)
+    if frame.n < 2 or is_equiangular(frame, tol.numeric) is None:
         raise CheckFailure("closed-form bounds need an equiangular tight frame")
     params = EtfParameters.of_frame(frame)
-    unraveling = principal_kraus(frame, tol_numeric)
+    unraveling = principal_kraus(frame, tol.numeric)
     gram = unraveling_gram(unraveling, rho)
     spectrum = hermitian_eig(gram).eigenvalues
     true_max = float(spectrum[0])
     state_purity = purity(rho)
     probs = unraveling_probabilities(unraveling, rho)
     extremal = spectrum.copy()
-    extremal[np.abs(extremal) <= tol_structural] = 0.0
+    extremal[np.abs(extremal) <= tol.structural] = 0.0
 
-    ic_achieved = index_of_coincidence(probs)
-    ic_bound = ic_upper_bound(params, state_purity)
-    ic_slack = ic_bound - ic_achieved
+    ic = BoundReport.upper(
+        ic_upper_bound(params, state_purity), index_of_coincidence(probs), tol.saturation
+    )
 
-    interval = eigen_interval(gram, tol=tol_numeric)
+    interval = eigen_interval(gram, tol=tol.numeric)
     interval_slack = min(float(interval.slack(v)) for v in spectrum)
     max_bound = max_eig_upper_bound(gram)
 
     disks = gershgorin_disks(gram)
-    g_upper = max(center.real + radius for center, radius in disks)
-    g_lower = max(0.0, min(center.real - radius for center, radius in disks))
+    union = gershgorin_union(gram)
     g_slack = min(
         max(radius - abs(v - center) for center, radius in disks)
         for v in spectrum
@@ -321,52 +333,45 @@ def build_bounds_report(
     closed_slack = min(float(closed_interval.slack(v)) for v in spectrum)
     spectral_bound = etf_spectral_bound(params, state_purity)
 
-    renyi_rows = []
-    tsallis_rows = []
-    for alpha in alphas:
-        if alpha >= 2.0:
-            bound = renyi_uncertainty_bound(params, state_purity, alpha)
-            achieved = renyi_entropy(probs, alpha)
-            achieved_extremal = renyi_entropy(extremal, alpha)
-            slack = min(achieved, achieved_extremal) - bound
-            renyi_rows.append(
-                {
-                    "alpha": _alpha_key(alpha),
-                    "bound": bound,
-                    "achieved": achieved,
-                    "achieved_extremal": achieved_extremal,
-                    "slack": slack,
-                    "saturated": abs(slack) <= tol_saturation,
-                    "pass": slack >= -tol_numeric,
-                }
+    # Entropy family -> (uncertainty bound, entropy, orders the bound covers).
+    families = {
+        "renyi": (renyi_uncertainty_bound, renyi_entropy, lambda a: a >= 2.0),
+        "tsallis": (
+            tsallis_uncertainty_bound, tsallis_entropy, lambda a: np.isfinite(a) and a <= 2.0
+        ),
+    }
+    rows: dict = {family: [] for family in families}
+    for family, (bound_of, entropy, covers) in families.items():
+        for alpha in filter(covers, alphas):
+            achieved = entropy(probs, alpha)
+            achieved_extremal = entropy(extremal, alpha)
+            row = BoundReport.lower(
+                bound_of(params, state_purity, alpha),
+                min(achieved, achieved_extremal),
+                tol.saturation,
             )
-        if np.isfinite(alpha) and alpha <= 2.0:
-            bound = tsallis_uncertainty_bound(params, state_purity, alpha)
-            achieved = tsallis_entropy(probs, alpha)
-            achieved_extremal = tsallis_entropy(extremal, alpha)
-            slack = min(achieved, achieved_extremal) - bound
-            tsallis_rows.append(
+            rows[family].append(
                 {
                     "alpha": _alpha_key(alpha),
-                    "bound": bound,
+                    "bound": row.bound_value,
                     "achieved": achieved,
                     "achieved_extremal": achieved_extremal,
-                    "slack": slack,
-                    "saturated": abs(slack) <= tol_saturation,
-                    "pass": slack >= -tol_numeric,
+                    "slack": row.slack,
+                    "saturated": row.saturated,
+                    "pass": row.slack >= -tol.numeric,
                 }
             )
 
     checks = {
-        "ic_bound": ic_slack >= -tol_numeric,
-        "eigen_interval": interval_slack >= -tol_numeric,
-        "gershgorin": g_slack >= -tol_numeric,
-        "closed_form_interval": closed_slack >= -tol_numeric,
-        "spectral_bound": spectral_bound - true_max >= -tol_numeric,
-        "max_eig_bound": max_bound - true_max >= -tol_numeric,
-        "entropy_bounds": all(r["pass"] for r in renyi_rows + tsallis_rows),
+        "ic_bound": ic.slack >= -tol.numeric,
+        "eigen_interval": interval_slack >= -tol.numeric,
+        "gershgorin": g_slack >= -tol.numeric,
+        "closed_form_interval": closed_slack >= -tol.numeric,
+        "spectral_bound": spectral_bound - true_max >= -tol.numeric,
+        "max_eig_bound": max_bound - true_max >= -tol.numeric,
+        "entropy_bounds": all(r["pass"] for r in rows["renyi"] + rows["tsallis"]),
     }
-    passed = all(checks.values())
+    failures = [name for name, ok in checks.items() if not ok]
     report = {
         "command": "bounds",
         "n": frame.n,
@@ -375,31 +380,27 @@ def build_bounds_report(
         "purity": state_purity,
         "true_spectrum": _floats(spectrum),
         "index_of_coincidence": {
-            "achieved": ic_achieved,
-            "bound": ic_bound,
-            "slack": ic_slack,
-            "saturated": abs(ic_slack) <= tol_saturation,
+            "achieved": ic.achieved_value,
+            "bound": ic.bound_value,
+            "slack": ic.slack,
+            "saturated": ic.saturated,
         },
         "eigen_interval": {
             "lower": interval.lower,
             "upper": interval.upper,
             "containment_slack": interval_slack,
             "max_eig_bound": max_bound,
-            "relative_error_vs_max": (interval.upper - true_max) / true_max
-            if true_max > 0
-            else None,
+            "relative_error_vs_max": _relative_error(interval.upper, true_max),
         },
         "gershgorin": {
             "disks": [
                 {"center": [center.real, center.imag], "radius": radius}
                 for center, radius in disks
             ],
-            "union_lower": g_lower,
-            "union_upper": g_upper,
+            "union_lower": union.lower,
+            "union_upper": union.upper,
             "containment_slack": g_slack,
-            "relative_error_vs_max": (g_upper - true_max) / true_max
-            if true_max > 0
-            else None,
+            "relative_error_vs_max": _relative_error(union.upper, true_max),
         },
         "closed_form_interval": {
             "lower": closed_interval.lower,
@@ -407,13 +408,13 @@ def build_bounds_report(
             "containment_slack": closed_slack,
             "spectral_bound": spectral_bound,
         },
-        "renyi": renyi_rows,
-        "tsallis": tsallis_rows,
+        "renyi": rows["renyi"],
+        "tsallis": rows["tsallis"],
         "checks": checks,
-        "tolerances": _tolerances(tol_structural, tol_numeric, tol_saturation),
-        "passed": passed,
+        "tolerances": tol.as_dict(),
+        "passed": not failures,
     }
-    return report, passed
+    return report, failures
 
 
 def build_extremality_report(
@@ -424,11 +425,8 @@ def build_extremality_report(
     seed: int,
     alphas: list[float],
     identity: bool = False,
-    *,
-    tol_structural: float = STRUCTURAL_TOL,
-    tol_numeric: float = NUMERIC_TOL,
-    tol_saturation: float = SATURATION_TOL,
-) -> tuple[dict, bool]:
+    tol: Tolerances = Tolerances(),
+) -> tuple[dict, list[str]]:
     """Monte Carlo over re-unravelings: minimum entropy slack vs. the extremal one.
 
     Sample i uses the deterministic generator seeded with (seed, i), so
@@ -436,10 +434,9 @@ def build_extremality_report(
     slacks are only evaluated at orders where extremality is guaranteed
     (alpha <= 1, alpha = 2 and alpha = inf).
     """
-    if samples < 1:
-        raise CheckFailure(f"need at least one sample, got {samples}")
-    unraveling = principal_kraus(frame, tol_numeric)
-    _, extremal_probs = extremal_unraveling(unraveling, rho, clamp_tol=tol_structural)
+    _require_tight(frame, tol)
+    unraveling = principal_kraus(frame, tol.numeric)
+    _, extremal_probs = extremal_unraveling(unraveling, rho, clamp_tol=tol.structural)
     tsallis_alphas = [a for a in alphas if np.isfinite(a)]
     renyi_alphas = sorted({a for a in alphas if a <= 1.0 or a == 2.0} | {np.inf})
     base_tsallis = {a: tsallis_entropy(extremal_probs, a) for a in tsallis_alphas}
@@ -458,9 +455,12 @@ def build_extremality_report(
         for a in renyi_alphas:
             min_renyi[a] = min(min_renyi[a], renyi_entropy(probs, a) - base_renyi[a])
 
-    passed = all(v >= -tol_numeric for v in min_tsallis.values()) and all(
-        v >= -tol_numeric for v in min_renyi.values()
-    )
+    failures = [
+        f"{family}:{_alpha_key(a)}"
+        for family, slacks in (("tsallis", min_tsallis), ("renyi", min_renyi))
+        for a, slack in slacks.items()
+        if not slack >= -tol.numeric
+    ]
     report = {
         "command": "verify-extremality",
         "n": frame.n,
@@ -478,18 +478,13 @@ def build_extremality_report(
             _alpha_key(a): {"extremal": base_renyi[a], "min_slack": float(min_renyi[a])}
             for a in renyi_alphas
         },
-        "tolerances": _tolerances(tol_structural, tol_numeric, tol_saturation),
-        "passed": passed,
+        "tolerances": tol.as_dict(),
+        "passed": not failures,
     }
-    return report, passed
+    return report, failures
 
 
-def build_qubit_sic_report(
-    *,
-    tol_structural: float = STRUCTURAL_TOL,
-    tol_numeric: float = NUMERIC_TOL,
-    tol_saturation: float = SATURATION_TOL,
-) -> tuple[dict, bool]:
+def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> tuple[dict, list[str]]:
     """Run every check of the built-in qubit tetrahedron example."""
     frame = sic_qubit()
     n, d = frame.n, frame.d
@@ -507,14 +502,14 @@ def build_qubit_sic_report(
     gram_star = unraveling_gram(unraveling, rho_star)
     expected_star = ((1.0 - c) * np.eye(n) + c * np.ones((n, n))) / n
     deviation = float(np.abs(gram_star - expected_star).max())
-    add("mixed-state gram matrix", deviation <= tol_structural, max_deviation=deviation)
+    add("mixed-state gram matrix", deviation <= tol.structural, max_deviation=deviation)
 
     radius_expected = (n - 1) * c / n
     radii = [radius for _, radius in gershgorin_disks(gram_star)]
     deviation = max(abs(r - radius_expected) for r in radii)
     add(
         "mixed-state gershgorin radius 1/4",
-        deviation <= tol_structural,
+        deviation <= tol.structural,
         expected=radius_expected,
         max_deviation=deviation,
     )
@@ -524,7 +519,7 @@ def build_qubit_sic_report(
     actual = float(np.vdot(gram_star, gram_star).real)
     add(
         "mixed-state squared Frobenius norm, two closed forms agree",
-        abs(closed_form_a - closed_form_b) <= 1e-12 and abs(actual - closed_form_a) <= tol_numeric,
+        abs(closed_form_a - closed_form_b) <= 1e-12 and abs(actual - closed_form_a) <= tol.numeric,
         closed_form_a=closed_form_a,
         closed_form_b=closed_form_b,
         actual=actual,
@@ -547,14 +542,14 @@ def build_qubit_sic_report(
         / 6.0
     )
     deviation = float(np.abs(gram_pure - expected_pure).max())
-    add("pure-frame-state gram matrix", deviation <= tol_structural, max_deviation=deviation)
+    add("pure-frame-state gram matrix", deviation <= tol.structural, max_deviation=deviation)
 
     spectrum = hermitian_eig(gram_pure).eigenvalues
     target = np.array([2.0 / 3.0, 1.0 / 3.0, 0.0, 0.0])
     deviation = float(np.abs(spectrum - target).max())
     add(
         "pure-frame-state spectrum (2/3, 1/3, 0, 0)",
-        deviation <= tol_numeric,
+        deviation <= tol.numeric,
         eigenvalues=_floats(spectrum),
         max_deviation=deviation,
     )
@@ -575,19 +570,17 @@ def build_qubit_sic_report(
         radius=radius,
     )
 
-    disks = gershgorin_disks(gram_pure)
-    union_upper = max(center.real + r for center, r in disks)
-    union_lower = max(0.0, min(center.real - r for center, r in disks))
+    union = gershgorin_union(gram_pure)
     add(
         "gershgorin union [0, 1]",
-        abs(union_upper - 1.0) <= tol_numeric and union_lower <= tol_numeric,
-        lower=union_lower,
-        upper=union_upper,
+        abs(union.upper - 1.0) <= tol.numeric and union.lower <= tol.numeric,
+        lower=union.lower,
+        upper=union.upper,
     )
 
     true_max = float(spectrum[0])
     relative_new = (bound - true_max) / true_max
-    relative_gershgorin = (union_upper - true_max) / true_max
+    relative_gershgorin = (union.upper - true_max) / true_max
     add(
         "relative errors about 9.3% and 50%",
         abs(relative_new - 0.093) <= 1e-3 and abs(relative_gershgorin - 0.5) <= 1e-3,
@@ -595,7 +588,7 @@ def build_qubit_sic_report(
         gershgorin_error=relative_gershgorin,
     )
 
-    passed = all(entry["pass"] for entry in checks)
+    failures = [entry["name"] for entry in checks if not entry["pass"]]
     report = {
         "command": "reproduce qubit-sic",
         "n": n,
@@ -604,10 +597,10 @@ def build_qubit_sic_report(
         "checks": checks,
         "gram_mixed": io.complex_to_pairs(gram_star),
         "gram_pure": io.complex_to_pairs(gram_pure),
-        "tolerances": _tolerances(tol_structural, tol_numeric, tol_saturation),
-        "passed": passed,
+        "tolerances": tol.as_dict(),
+        "passed": not failures,
     }
-    return report, passed
+    return report, failures
 
 
 # ----------------------------------------------------------------------
@@ -628,22 +621,10 @@ def frame() -> None:
 @frame.command("check")
 @click.argument("frame_file", type=click.Path(dir_okay=False))
 @report_options
-def frame_check(frame_file, fmt, tol_structural, tol_numeric, tol_saturation) -> None:
+def frame_check(frame_file, fmt, tol) -> None:
     """Certify tightness and equiangularity of a frame file."""
-    try:
-        raw = io.raw_vectors_from_dict(io.load_json(frame_file))
-    except io.FrameFileError as exc:
-        raise InputError(str(exc)) from None
-    report, passed, failed = build_frame_check_report(
-        raw,
-        tol_structural=tol_structural,
-        tol_numeric=tol_numeric,
-        tol_saturation=tol_saturation,
-    )
-    _emit(report, fmt)
-    if not passed:
-        click.echo(f"invariant failure: {', '.join(failed)}", err=True)
-        sys.exit(1)
+    raw = _read_input(io.raw_vectors_from_dict, _read_input(io.load_json, frame_file))
+    _finish(fmt, build_frame_check_report, raw, tol, label="invariant failure")
 
 
 @frame.group("gen")
@@ -655,12 +636,7 @@ def frame_gen() -> None:
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
 def gen_sic2(output) -> None:
     """Write the qubit tetrahedron frame (n=4, d=2)."""
-    document = json.dumps(io.frame_to_dict(sic_qubit()), indent=2)
-    if output:
-        with open(output, "w") as handle:
-            handle.write(document + "\n")
-    else:
-        click.echo(document)
+    _write_frame(sic_qubit(), output)
 
 
 @frame_gen.command("complement")
@@ -674,12 +650,7 @@ def gen_complement(frame_file, output) -> None:
     except ValueError as exc:
         click.echo(f"check failed: {exc}", err=True)
         sys.exit(1)
-    document = json.dumps(io.frame_to_dict(result), indent=2)
-    if output:
-        with open(output, "w") as handle:
-            handle.write(document + "\n")
-    else:
-        click.echo(document)
+    _write_frame(result, output)
 
 
 @main.command("kd")
@@ -692,26 +663,11 @@ def gen_complement(frame_file, output) -> None:
     help="maximally-mixed | frame-state:<j> | mixture:<w,...> | matrix:<path>",
 )
 @report_options
-def kd_command(frame_file, state_spec, fmt, tol_structural, tol_numeric, tol_saturation) -> None:
+def kd_command(frame_file, state_spec, fmt, tol) -> None:
     """Emit the Gram and Kirkwood-Dirac matrices of a tight frame and a state."""
     loaded = _load_frame(frame_file)
-    rho = _resolve_state(state_spec, loaded)
-    try:
-        report, passed = build_kd_report(
-            loaded,
-            rho,
-            state_spec,
-            tol_structural=tol_structural,
-            tol_numeric=tol_numeric,
-            tol_saturation=tol_saturation,
-        )
-    except CheckFailure as exc:
-        click.echo(f"check failed: {exc}", err=True)
-        sys.exit(1)
-    _emit(report, fmt)
-    if not passed:
-        click.echo("check failed: kd residual above tolerance", err=True)
-        sys.exit(1)
+    rho = _read_input(io.resolve_state, state_spec, loaded)
+    _finish(fmt, build_kd_report, loaded, rho, state_spec, tol)
 
 
 @main.command("bounds")
@@ -724,31 +680,11 @@ def kd_command(frame_file, state_spec, fmt, tol_structural, tol_numeric, tol_sat
     help="Comma-separated entropy orders.",
 )
 @report_options
-def bounds_command(
-    frame_file, state_spec, alphas, fmt, tol_structural, tol_numeric, tol_saturation
-) -> None:
+def bounds_command(frame_file, state_spec, alphas, fmt, tol) -> None:
     """Compare eigenvalue-location and entropy bounds against achieved values."""
     loaded = _load_frame(frame_file)
-    rho = _resolve_state(state_spec, loaded)
-    orders = _parse_alphas(alphas)
-    try:
-        report, passed = build_bounds_report(
-            loaded,
-            rho,
-            state_spec,
-            orders,
-            tol_structural=tol_structural,
-            tol_numeric=tol_numeric,
-            tol_saturation=tol_saturation,
-        )
-    except CheckFailure as exc:
-        click.echo(f"check failed: {exc}", err=True)
-        sys.exit(1)
-    _emit(report, fmt)
-    if not passed:
-        failing = [name for name, ok in report["checks"].items() if not ok]
-        click.echo(f"check failed: {', '.join(failing)}", err=True)
-        sys.exit(1)
+    rho = _read_input(io.resolve_state, state_spec, loaded)
+    _finish(fmt, build_bounds_report, loaded, rho, state_spec, _parse_alphas(alphas), tol)
 
 
 @main.command("verify-extremality")
@@ -770,44 +706,16 @@ def bounds_command(
 )
 @click.option("--alphas", default="0.5,1,2,5", show_default=True)
 @report_options
-def verify_extremality(
-    frame_file,
-    state_spec,
-    samples,
-    seed,
-    identity,
-    alphas,
-    fmt,
-    tol_structural,
-    tol_numeric,
-    tol_saturation,
-) -> None:
+def verify_extremality(frame_file, state_spec, samples, seed, identity, alphas, fmt, tol) -> None:
     """Check that the extremal unraveling minimizes the sampled entropies."""
     if samples < 1:
         raise InputError(f"--samples must be at least 1, got {samples}")
     loaded = _load_frame(frame_file)
-    rho = _resolve_state(state_spec, loaded)
+    rho = _read_input(io.resolve_state, state_spec, loaded)
     orders = _parse_alphas(alphas)
-    try:
-        report, passed = build_extremality_report(
-            loaded,
-            rho,
-            state_spec,
-            samples,
-            seed,
-            orders,
-            identity,
-            tol_structural=tol_structural,
-            tol_numeric=tol_numeric,
-            tol_saturation=tol_saturation,
-        )
-    except CheckFailure as exc:
-        click.echo(f"check failed: {exc}", err=True)
-        sys.exit(1)
-    _emit(report, fmt)
-    if not passed:
-        click.echo("check failed: an entropy slack went below tolerance", err=True)
-        sys.exit(1)
+    _finish(
+        fmt, build_extremality_report, loaded, rho, state_spec, samples, seed, orders, identity, tol
+    )
 
 
 @main.group("reproduce")
@@ -817,18 +725,9 @@ def reproduce() -> None:
 
 @reproduce.command("qubit-sic")
 @report_options
-def reproduce_qubit_sic(fmt, tol_structural, tol_numeric, tol_saturation) -> None:
+def reproduce_qubit_sic(fmt, tol) -> None:
     """Run every qubit tetrahedron check: matrices, spectrum, bounds, errors."""
-    report, passed = build_qubit_sic_report(
-        tol_structural=tol_structural,
-        tol_numeric=tol_numeric,
-        tol_saturation=tol_saturation,
-    )
-    _emit(report, fmt)
-    if not passed:
-        failing = [entry["name"] for entry in report["checks"] if not entry["pass"]]
-        click.echo(f"check failed: {failing[0]}", err=True)
-        sys.exit(1)
+    _finish(fmt, build_qubit_sic_report, tol)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ or ``numpy.random.Generator``, never through global state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -18,6 +18,18 @@ STRUCTURAL_TOL = 1e-12
 NUMERIC_TOL = 1e-10
 # A bound counts as saturated when |bound - achieved| is below this.
 SATURATION_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The three tolerances a report checks against, one per constant above."""
+
+    structural: float = STRUCTURAL_TOL
+    numeric: float = NUMERIC_TOL
+    saturation: float = SATURATION_TOL
+
+    def as_dict(self) -> dict:
+        return asdict(self)
 
 
 def as_complex_matrix(x, name: str = "matrix") -> np.ndarray:

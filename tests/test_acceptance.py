@@ -13,7 +13,7 @@ import pytest
 from helpers import random_complex_matrix, random_hermitian, spectrum_with_equal_tail
 from kdframes.bounds import (
     eigen_interval,
-    gershgorin_disks,
+    gershgorin_union,
     gram_frobenius_sq,
     ic_upper_bound,
     max_eig_upper_bound,
@@ -82,7 +82,7 @@ def test_criterion_2_spectral_bound_comparison(sic):
     relative = (bound - true_max) / true_max
     assert abs(relative - 0.093) <= 1e-3
 
-    union_upper = max(center.real + radius for center, radius in gershgorin_disks(gram))
+    union_upper = gershgorin_union(gram).upper
     assert abs(union_upper - 1.0) <= 1e-10
     gershgorin_relative = (union_upper - true_max) / true_max
     assert abs(gershgorin_relative - 0.5) <= 1e-3

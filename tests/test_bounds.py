@@ -10,6 +10,7 @@ from kdframes.bounds import (
     etf_eigen_interval,
     etf_spectral_bound,
     gershgorin_disks,
+    gershgorin_union,
     gram_frobenius_sq,
     ic_upper_bound,
     kd_frobenius_norm,
@@ -215,11 +216,20 @@ class TestGershgorin:
             assert radius == 0.0
 
     def test_sic_pure_union_is_unit_interval(self, sic):
-        disks = gershgorin_disks(sic_pure_gram(sic))
-        upper = max(center.real + radius for center, radius in disks)
-        lower = max(0.0, min(center.real - radius for center, radius in disks))
-        assert upper == pytest.approx(1.0, abs=1e-12)
-        assert lower == pytest.approx(0.0, abs=1e-12)
+        union = gershgorin_union(sic_pure_gram(sic))
+        assert union.upper == pytest.approx(1.0, abs=1e-12)
+        assert union.lower == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_union_holds_psd_spectrum_above_zero(self, seed):
+        a = random_complex_matrix(4, 4, rng_for(seed))
+        m = a @ a.conj().T
+        union = gershgorin_union(m)
+        spectrum = np.linalg.eigvalsh(m)
+        assert union.lower >= 0.0
+        assert union.lower - 1e-9 <= spectrum[0] and spectrum[-1] <= union.upper + 1e-9
+        disks = gershgorin_disks(m)
+        assert union.upper == max(center.real + radius for center, radius in disks)
 
     @settings(deadline=None)
     @given(seed=seeds, n=st.integers(2, 7))

@@ -1,0 +1,101 @@
+"""Golden reports: every ``kdf`` report keeps its keys, values and exit code.
+
+Each file under ``tests/golden/`` holds the arguments, exit code and JSON
+report of one command run. Keys (in order), strings, booleans and nulls
+must match exactly and every numeric leaf to 1e-12. After a deliberate
+change of a report, regenerate the files with
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from kdframes import io
+from kdframes.cli import main
+from kdframes.frames import Frame, complement_etf, sic_qubit
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+TOL = 1e-12
+STATES = ("maximally-mixed", "frame-state:0")
+
+
+def paley_7_3() -> Frame:
+    """Rows {1, 2, 4} of the 7-point DFT, normalised: the (7, 3) Paley ETF."""
+    phases = np.outer(np.arange(7), [1, 2, 4]) % 7
+    return Frame(np.exp(2j * np.pi * phases / 7) / np.sqrt(3.0))
+
+
+FRAMES = {
+    "sic2": sic_qubit,
+    "sic2-complement": lambda: complement_etf(sic_qubit()),
+    "paley7": paley_7_3,
+}
+
+
+def golden_cases() -> dict[str, list[str]]:
+    """Case name -> kdf arguments; a frame name stands for its frame file."""
+    cases = {"reproduce-qubit-sic": ["reproduce", "qubit-sic"]}
+    for name in FRAMES:
+        cases[f"frame-check-{name}"] = ["frame", "check", name]
+        for state in STATES:
+            tag = f"{name}-{state.replace(':', '')}"
+            cases[f"kd-{tag}"] = ["kd", name, "--state", state]
+            cases[f"bounds-{tag}"] = ["bounds", name, "--state", state]
+            cases[f"verify-extremality-{tag}"] = [
+                "verify-extremality", name, "--state", state, "--samples", "20", "--seed", "3",
+            ]
+    return cases
+
+
+def run_case(args: list[str], frame_dir: Path) -> dict:
+    for name, build in FRAMES.items():
+        path = frame_dir / f"{name}.json"
+        if name in args and not path.exists():
+            io.dump_frame(build(), path)
+    argv = [str(frame_dir / f"{a}.json") if a in FRAMES else a for a in args]
+    result = CliRunner().invoke(main, argv + ["--format", "json"], catch_exceptions=False)
+    return {"args": args, "exit_code": result.exit_code, "report": json.loads(result.stdout)}
+
+
+def assert_same(actual, expected, path: str) -> None:
+    if isinstance(expected, dict):
+        assert isinstance(actual, dict), f"{path}: expected an object"
+        assert list(actual) == list(expected), f"{path}: keys {list(actual)} != {list(expected)}"
+        for key, value in expected.items():
+            assert_same(actual[key], value, f"{path}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list), f"{path}: expected a list"
+        assert len(actual) == len(expected), f"{path}: length {len(actual)} != {len(expected)}"
+        for index, (a, e) in enumerate(zip(actual, expected)):
+            assert_same(a, e, f"{path}[{index}]")
+    elif isinstance(expected, (int, float)) and not isinstance(expected, bool):
+        assert isinstance(actual, (int, float)) and not isinstance(actual, bool), path
+        assert actual == expected or abs(actual - expected) <= TOL, (
+            f"{path}: {actual!r} != {expected!r}"
+        )
+    else:
+        assert actual == expected, f"{path}: {actual!r} != {expected!r}"
+
+
+@pytest.mark.parametrize("case", sorted(golden_cases()))
+def test_report_matches_golden(case, tmp_path):
+    golden = json.loads((GOLDEN_DIR / f"{case}.json").read_text())
+    actual = run_case(golden_cases()[case], tmp_path)
+    assert actual["args"] == golden["args"]
+    assert actual["exit_code"] == golden["exit_code"]
+    assert_same(actual["report"], golden["report"], "report")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        for case, args in golden_cases().items():
+            document = run_case(args, Path(scratch))
+            (GOLDEN_DIR / f"{case}.json").write_text(json.dumps(document, indent=1) + "\n")

@@ -125,6 +125,7 @@ class TestFrameCheckCommand:
         report = json.loads(result.stdout)
         assert report["invariants"]["unit_norms"]["pass"] is False
         assert report["tight"] is False
+        assert result.stderr == "invariant failure: unit_norms\n"
 
     def test_parse_failure_exit_two(self, runner, tmp_path):
         path = tmp_path / "garbage.json"
@@ -185,6 +186,22 @@ class TestKdCommand:
         result = runner.invoke(main, ["kd", str(path)])
         assert result.exit_code == 1
 
+    def test_residual_failure_named_on_stderr(self, runner, sic_file):
+        result = invoke(runner, ["kd", sic_file, "--tol-structural", "-1", "--format", "json"])
+        assert result.exit_code == 1
+        assert json.loads(result.stdout)["passed"] is False
+        assert result.stderr == "check failed: kd_vs_scaled_gram_residual\n"
+
+    def test_tolerance_flags_reach_report(self, runner, sic_file):
+        result = invoke(runner, ["kd", sic_file, "--tol-numeric", "1e-9", "--format", "json"])
+        assert result.exit_code == 0
+        tolerances = json.loads(result.stdout)["tolerances"]
+        assert list(tolerances.items()) == [
+            ("structural", 1e-12),
+            ("numeric", 1e-9),
+            ("saturation", 1e-8),
+        ]
+
     def test_broken_norm_invariant_exit_one(self, runner, tmp_path):
         document = io.frame_to_dict(sic_qubit())
         document["vectors"][0][0][0] = 1.001
@@ -225,6 +242,13 @@ class TestBoundsCommand:
     def test_bad_alpha_list_exit_two(self, runner, sic_file):
         result = runner.invoke(main, ["bounds", sic_file, "--alphas", "2,-1"])
         assert result.exit_code == 2
+
+    def test_one_vector_frame_exit_one(self, runner, tmp_path):
+        path = tmp_path / "single.json"
+        path.write_text(json.dumps({"d": 1, "n": 1, "vectors": [[[1, 0]]]}))
+        result = invoke(runner, ["bounds", str(path)])
+        assert result.exit_code == 1
+        assert result.stderr == "check failed: closed-form bounds need an equiangular tight frame\n"
 
 
 class TestVerifyExtremalityCommand:
@@ -283,6 +307,16 @@ class TestVerifyExtremalityCommand:
         assert report["renyi"]["1"]["min_slack"] == pytest.approx(expected, abs=1e-12)
         assert expected >= 0.0
 
+    def test_non_tight_frame_exit_one(self, runner, tmp_path):
+        from kdframes.frames import Frame
+
+        vectors = np.array([[1, 0], [1, 0], [0, 1]], dtype=complex)
+        path = tmp_path / "loose.json"
+        io.dump_frame(Frame(vectors), path)
+        result = invoke(runner, ["verify-extremality", str(path)])
+        assert result.exit_code == 1
+        assert result.stderr == "check failed: frame is not tight, it induces no POVM\n"
+
     def test_seed_determinism_bit_identical(self, runner, sic_file):
         args = [
             "verify-extremality",
@@ -325,6 +359,16 @@ class TestReproduceCommand:
         first = invoke(runner, ["reproduce", "qubit-sic", "--format", "json"])
         second = invoke(runner, ["reproduce", "qubit-sic", "--format", "json"])
         assert first.stdout == second.stdout
+
+    def test_failed_checks_named_on_stderr(self, runner):
+        result = invoke(runner, ["reproduce", "qubit-sic", "--tol-structural", "-1"])
+        assert result.exit_code == 1
+        names = [
+            "mixed-state gram matrix",
+            "mixed-state gershgorin radius 1/4",
+            "pure-frame-state gram matrix",
+        ]
+        assert result.stderr == f"check failed: {', '.join(names)}\n"
 
     def test_table_format(self, runner):
         result = invoke(runner, ["reproduce", "qubit-sic", "--format", "table"])
