@@ -23,6 +23,7 @@ from .linalg import (
     STRUCTURAL_TOL,
     as_complex_matrix,
     require_hermitian,
+    require_psd,
     singular_values,
 )
 
@@ -76,12 +77,15 @@ class BoundReport:
         return cls(bound, achieved, slack, abs(slack) <= tol)
 
 
-def _sqrt_clamped(x: float, tol: float = STRUCTURAL_TOL) -> float:
-    # Radicands in [-tol, 0) are rounding noise; anything more negative
-    # signals an invalid input rather than numerics.
-    if x < -tol:
-        raise ValueError(f"negative radicand {x:.3e} indicates invalid input")
-    return float(np.sqrt(max(x, 0.0)))
+def _trace_interval(n: int, trace: float, radicand: float) -> Interval:
+    """Interval trace/n +- sqrt(n-1)/n sqrt(radicand) around the mean of n
+    values with sum ``trace``, for the radicand n ||m||_F^2 - tr(m)^2."""
+    # Radicands in [-STRUCTURAL_TOL, 0) are rounding noise; anything more
+    # negative signals an invalid input rather than numerics.
+    if radicand < -STRUCTURAL_TOL:
+        raise ValueError(f"negative radicand {radicand:.3e} indicates invalid input")
+    radius = np.sqrt(n - 1.0) / n * np.sqrt(max(radicand, 0.0))
+    return Interval(trace / n - radius, trace / n + radius)
 
 
 def _check_purity(params: EtfParameters, purity: float) -> None:
@@ -130,9 +134,7 @@ def eigen_interval(m, tol: float = STRUCTURAL_TOL) -> Interval:
     m = require_hermitian(m, tol)
     n = m.shape[0]
     trace = float(np.trace(m).real)
-    fro2 = float(np.vdot(m, m).real)
-    radius = np.sqrt(n - 1.0) / n * _sqrt_clamped(n * fro2 - trace * trace)
-    return Interval(trace / n - radius, trace / n + radius)
+    return _trace_interval(n, trace, n * float(np.vdot(m, m).real) - trace * trace)
 
 
 def singular_interval(x) -> Interval:
@@ -141,25 +143,18 @@ def singular_interval(x) -> Interval:
     s = singular_values(x)
     n = s.size
     trace_norm = float(s.sum())
-    fro2 = float(np.sum(s * s))
-    radius = np.sqrt(n - 1.0) / n * _sqrt_clamped(n * fro2 - trace_norm * trace_norm)
-    return Interval(trace_norm / n - radius, trace_norm / n + radius)
+    return _trace_interval(n, trace_norm, n * float(np.sum(s * s)) - trace_norm * trace_norm)
 
 
-def max_eig_upper_bound(m, psd_tol: float = STRUCTURAL_TOL) -> float:
+def max_eig_upper_bound(m) -> float:
     """Upper bound (||m||_1 + sqrt(n-1) sqrt(n ||m||_F^2 - ||m||_1^2)) / n on
-    the largest eigenvalue of a PSD matrix.
+    the largest eigenvalue of a PSD matrix: eigen_interval(m).upper, as ||m||_1 = tr m.
 
     Exact iff the other n - 1 eigenvalues are all equal.
     """
     m = require_hermitian(m)
-    smallest = float(np.linalg.eigvalsh(m)[0])
-    if smallest < -psd_tol:
-        raise ValueError(f"matrix must be PSD, min eigenvalue {smallest:.3e}")
-    n = m.shape[0]
-    trace = float(np.trace(m).real)
-    fro2 = float(np.vdot(m, m).real)
-    return (trace + np.sqrt(n - 1.0) * _sqrt_clamped(n * fro2 - trace * trace)) / n
+    require_psd(m)
+    return eigen_interval(m).upper
 
 
 def gershgorin_disks(m) -> list[tuple[complex, float]]:
@@ -197,8 +192,7 @@ def etf_eigen_interval(params: EtfParameters, purity: float) -> Interval:
     s = params.redundancy
     c = params.coherence
     arg = ((1.0 - c) ** 2 / (s * s) + c) * n * purity + (1.0 - c) * c * d - 1.0
-    radius = np.sqrt(n - 1.0) / n * _sqrt_clamped(arg)
-    return Interval(1.0 / n - radius, 1.0 / n + radius)
+    return _trace_interval(n, 1.0, arg)
 
 
 def etf_spectral_bound(params: EtfParameters, purity: float) -> float:

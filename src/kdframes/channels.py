@@ -11,12 +11,19 @@ unitary freedom.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .frames import DensityMatrix, Frame, Povm, is_tight
-from .linalg import NUMERIC_TOL, STRUCTURAL_TOL, as_complex_matrix, hermitian_eig
+from .linalg import (
+    NUMERIC_TOL,
+    STRUCTURAL_TOL,
+    as_complex_matrix,
+    hermitian_eig,
+    require_finite,
+    require_identity,
+)
 
 
 @dataclass(frozen=True)
@@ -24,21 +31,13 @@ class Unraveling:
     """Kraus operators of a trace-preserving channel, stacked as (m, dout, din)."""
 
     kraus: np.ndarray
-    tol: InitVar[float] = NUMERIC_TOL
 
-    def __post_init__(self, tol: float) -> None:
+    def __post_init__(self) -> None:
         k = np.asarray(self.kraus, dtype=complex)
         if k.ndim != 3:
             raise ValueError(f"kraus must be a stack of matrices, got shape {k.shape}")
-        if not (np.all(np.isfinite(k.real)) and np.all(np.isfinite(k.imag))):
-            raise ValueError("Kraus operators contain non-finite entries")
-        total = np.einsum("mia,mib->ab", k.conj(), k)
-        deviation = float(np.abs(total - np.eye(k.shape[2])).max())
-        if deviation > tol:
-            raise ValueError(
-                f"Kraus operators must preserve the trace: "
-                f"max |sum A^dag A - I| = {deviation:.3e}"
-            )
+        require_finite(k, "Kraus stack")
+        require_identity(np.einsum("mia,mib->ab", k.conj(), k), "sum A^dag A")
         object.__setattr__(self, "kraus", k)
 
     @property
@@ -100,7 +99,7 @@ def kd_matrix(p: Povm, rho: DensityMatrix) -> np.ndarray:
     return np.einsum("iab,jbc,ca->ij", p.elements, p.elements, rho.matrix)
 
 
-def transform_unraveling(u: Unraveling, v, tol: float = NUMERIC_TOL) -> Unraveling:
+def transform_unraveling(u: Unraveling, v) -> Unraveling:
     """Mix Kraus operators with a unitary: B_i = sum_j A_j v[j, i].
 
     ``v`` may be larger than the operator count, in which case the
@@ -114,9 +113,7 @@ def transform_unraveling(u: Unraveling, v, tol: float = NUMERIC_TOL) -> Unraveli
     size = v.shape[0]
     if size < u.m:
         raise ValueError(f"mixing matrix of size {size} cannot absorb {u.m} operators")
-    deviation = float(np.abs(v.conj().T @ v - np.eye(size)).max())
-    if deviation > tol:
-        raise ValueError(f"mixing matrix must be unitary, max |v^dag v - I| = {deviation:.3e}")
+    require_identity(v.conj().T @ v, "v^dag v")
     kraus = u.kraus
     if size > u.m:
         pad = np.zeros((size - u.m, u.dout, u.din), dtype=complex)

@@ -182,22 +182,22 @@ def _finish(fmt: str | None, build, *args, label: str = "check failed") -> None:
 
 def _write_frame(f: Frame, output) -> None:
     if output:
-        io.dump_frame(f, output)
+        _call_io(io.dump_frame, f, output)
     else:
         click.echo(json.dumps(io.frame_to_dict(f), indent=2))
 
 
-def _read_input(read, *args):
-    """Call an io reader; a document it cannot interpret is unusable input (exit 2)."""
+def _call_io(call, *args):
+    """Call an io function; a FrameFileError from it is unusable input (exit 2)."""
     try:
-        return read(*args)
+        return call(*args)
     except io.FrameFileError as exc:
         raise InputError(str(exc)) from None
 
 
 def _load_frame(path) -> Frame:
     try:
-        return _read_input(io.load_frame, path)
+        return _call_io(io.load_frame, path)
     except ValueError as exc:
         click.echo(f"invariant failure: {exc}", err=True)
         sys.exit(1)
@@ -252,7 +252,8 @@ def build_frame_check_report(
     if n >= d:
         frame = Frame(raw_vectors, norm_tol=np.inf)
         measured_c = is_equiangular(frame, tol.numeric) if n >= 2 else None
-        spectrum = hermitian_eig(frame_operator(frame), tol=tol.numeric).eigenvalues
+        # Hermitian by construction; eigvalsh reads one triangle, so rounding cannot abort.
+        spectrum = np.linalg.eigvalsh(frame_operator(frame))[::-1]
         report.update(
             {
                 "tight": is_tight(frame, tol.numeric),
@@ -623,7 +624,7 @@ def frame() -> None:
 @report_options
 def frame_check(frame_file, fmt, tol) -> None:
     """Certify tightness and equiangularity of a frame file."""
-    raw = _read_input(io.raw_vectors_from_dict, _read_input(io.load_json, frame_file))
+    raw = _call_io(io.raw_vectors_from_dict, _call_io(io.load_json, frame_file))
     _finish(fmt, build_frame_check_report, raw, tol, label="invariant failure")
 
 
@@ -666,7 +667,7 @@ def gen_complement(frame_file, output) -> None:
 def kd_command(frame_file, state_spec, fmt, tol) -> None:
     """Emit the Gram and Kirkwood-Dirac matrices of a tight frame and a state."""
     loaded = _load_frame(frame_file)
-    rho = _read_input(io.resolve_state, state_spec, loaded)
+    rho = _call_io(io.resolve_state, state_spec, loaded)
     _finish(fmt, build_kd_report, loaded, rho, state_spec, tol)
 
 
@@ -683,7 +684,7 @@ def kd_command(frame_file, state_spec, fmt, tol) -> None:
 def bounds_command(frame_file, state_spec, alphas, fmt, tol) -> None:
     """Compare eigenvalue-location and entropy bounds against achieved values."""
     loaded = _load_frame(frame_file)
-    rho = _read_input(io.resolve_state, state_spec, loaded)
+    rho = _call_io(io.resolve_state, state_spec, loaded)
     _finish(fmt, build_bounds_report, loaded, rho, state_spec, _parse_alphas(alphas), tol)
 
 
@@ -711,7 +712,7 @@ def verify_extremality(frame_file, state_spec, samples, seed, identity, alphas, 
     if samples < 1:
         raise InputError(f"--samples must be at least 1, got {samples}")
     loaded = _load_frame(frame_file)
-    rho = _read_input(io.resolve_state, state_spec, loaded)
+    rho = _call_io(io.resolve_state, state_spec, loaded)
     orders = _parse_alphas(alphas)
     _finish(
         fmt, build_extremality_report, loaded, rho, state_spec, samples, seed, orders, identity, tol

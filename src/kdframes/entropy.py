@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import NUMERIC_TOL
+from .linalg import NUMERIC_TOL, STRUCTURAL_TOL, require_finite
 
 # |alpha - 1| below this uses the Shannon limit of both entropy families.
 ALPHA_ONE_WINDOW = 1e-6
-# Probability entries above -CLAMP_TOL are treated as rounded zeros.
-CLAMP_TOL = 1e-12
 
 
 def _check_alpha(alpha: float) -> float:
@@ -25,25 +23,21 @@ def _check_alpha(alpha: float) -> float:
     return a
 
 
-def clean_probabilities(
-    p, clamp_tol: float = CLAMP_TOL, sum_tol: float = NUMERIC_TOL
-) -> np.ndarray:
+def clean_probabilities(p) -> np.ndarray:
     """Validate a probability vector, clamping rounded-zero negatives.
 
-    Entries below -clamp_tol, or a total off 1 by more than sum_tol, raise
-    instead of being silently renormalized.
+    Entries below -STRUCTURAL_TOL, or a total off 1 by more than
+    NUMERIC_TOL, raise instead of being silently renormalized.
     """
     p = np.asarray(p, dtype=float).ravel()
     if p.size == 0:
         raise ValueError("empty probability vector")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("probabilities must be finite")
-    smallest = float(p.min())
-    if smallest < -clamp_tol:
+    smallest = float(require_finite(p, "probability vector").min())
+    if smallest < -STRUCTURAL_TOL:
         raise ValueError(f"negative probability {smallest:.3e}")
     p = np.where(p < 0.0, 0.0, p)
     total = float(p.sum())
-    if abs(total - 1.0) > sum_tol:
+    if abs(total - 1.0) > NUMERIC_TOL:
         raise ValueError(f"probabilities must sum to 1, got {total!r}")
     return p
 

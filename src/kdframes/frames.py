@@ -18,7 +18,10 @@ from .linalg import (
     STRUCTURAL_TOL,
     as_complex_matrix,
     hermitian_eig,
+    require_finite,
     require_hermitian,
+    require_identity,
+    require_psd,
     schatten_norm,
 )
 
@@ -106,18 +109,13 @@ class DensityMatrix:
     """Unit-trace positive semidefinite matrix on C^d."""
 
     matrix: np.ndarray
-    tol: InitVar[float] = STRUCTURAL_TOL
 
-    def __post_init__(self, tol: float) -> None:
-        m = require_hermitian(self.matrix, tol)
+    def __post_init__(self) -> None:
+        m = require_hermitian(self.matrix)
         trace = float(np.trace(m).real)
-        if abs(trace - 1.0) > tol:
+        if abs(trace - 1.0) > STRUCTURAL_TOL:
             raise ValueError(f"density matrix must have unit trace, got {trace!r}")
-        smallest = float(np.linalg.eigvalsh(m)[0])
-        if smallest < -tol:
-            raise ValueError(
-                f"density matrix must be PSD, min eigenvalue {smallest:.3e}"
-            )
+        require_psd(m, "density matrix")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -130,28 +128,13 @@ class Povm:
     """Positive semidefinite effects summing to the identity."""
 
     elements: np.ndarray
-    psd_tol: InitVar[float] = STRUCTURAL_TOL
-    completeness_tol: InitVar[float] = NUMERIC_TOL
 
-    def __post_init__(self, psd_tol: float, completeness_tol: float) -> None:
+    def __post_init__(self) -> None:
         e = np.asarray(self.elements, dtype=complex)
         if e.ndim != 3 or e.shape[1] != e.shape[2]:
             raise ValueError(f"effects must be a stack of square matrices, got {e.shape}")
-        if not (np.all(np.isfinite(e.real)) and np.all(np.isfinite(e.imag))):
-            raise ValueError("effects contain non-finite entries")
-        for k in range(e.shape[0]):
-            require_hermitian(e[k], psd_tol)
-            smallest = float(np.linalg.eigvalsh(e[k])[0])
-            if smallest < -psd_tol:
-                raise ValueError(
-                    f"effect {k} is not PSD, min eigenvalue {smallest:.3e}"
-                )
-        total = e.sum(axis=0)
-        deviation = float(np.abs(total - np.eye(e.shape[1])).max())
-        if deviation > completeness_tol:
-            raise ValueError(
-                f"effects must sum to the identity, max deviation {deviation:.3e}"
-            )
+        require_psd(require_finite(e, "effects"), "effects")
+        require_identity(e.sum(axis=0), "sum E")
         object.__setattr__(self, "elements", e)
 
     @property
@@ -245,7 +228,7 @@ def orthonormal_frame(d: int) -> Frame:
     return Frame(np.eye(d, dtype=complex))
 
 
-def complement_etf(f: Frame, tol: float = NUMERIC_TOL) -> Frame:
+def complement_etf(f: Frame) -> Frame:
     """ETF with the same n vectors in the complementary dimension n - d.
 
     For a tight equiangular frame, I - (d/n) G with G the Gram matrix is a
@@ -257,20 +240,20 @@ def complement_etf(f: Frame, tol: float = NUMERIC_TOL) -> Frame:
     """
     if f.n == f.d:
         raise ValueError("an orthonormal basis has an empty complement")
-    if not is_tight(f, tol):
+    if not is_tight(f):
         raise ValueError("complement construction needs a tight frame")
-    if is_equiangular(f, tol) is None:
+    if is_equiangular(f) is None:
         raise ValueError("complement construction needs an equiangular frame")
     n, d = f.n, f.d
     projector = np.eye(n) - (d / n) * gram_matrix(f)
     spec = hermitian_eig(projector, tol=NUMERIC_TOL)
     k = n - d
-    if abs(spec.eigenvalues[k - 1] - 1.0) > tol or abs(spec.eigenvalues[k]) > tol:
+    if abs(spec.eigenvalues[k - 1] - 1.0) > NUMERIC_TOL or abs(spec.eigenvalues[k]) > NUMERIC_TOL:
         raise ValueError("complement projector is not a clean 0/1 projection")
     rows = np.sqrt(n / k) * spec.eigenvectors[:, :k].conj()
     rows /= np.linalg.norm(rows, axis=1)[:, None]
     out = Frame(rows)
-    if not is_tight(out, tol) or is_equiangular(out, tol) is None:
+    if not is_tight(out) or is_equiangular(out) is None:
         raise ValueError("complement construction failed its own certification")
     return out
 

@@ -13,10 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from .frames import DensityMatrix, Frame, frame_mixture
+from .linalg import NUMERIC_TOL
 
 
 class FrameFileError(ValueError):
-    """The document cannot be interpreted at all (schema or syntax)."""
+    """The file cannot be read or written, or its document cannot be interpreted."""
 
 
 def complex_to_pairs(m) -> list:
@@ -61,13 +62,10 @@ def raw_vectors_from_dict(data, name: str = "frame file") -> np.ndarray:
     return vectors
 
 
-# Serialized unit vectors re-read to ~1e-16; this leaves headroom for
-# hand-written files while still rejecting non-normalized input.
-FRAME_FILE_NORM_TOL = 1e-10
-
-
-def frame_from_dict(data, norm_tol: float = FRAME_FILE_NORM_TOL) -> Frame:
-    return Frame(raw_vectors_from_dict(data), norm_tol=norm_tol)
+def frame_from_dict(data) -> Frame:
+    # Serialized unit vectors re-read to ~1e-16; NUMERIC_TOL leaves headroom
+    # for hand-written files while still rejecting non-normalized input.
+    return Frame(raw_vectors_from_dict(data), norm_tol=NUMERIC_TOL)
 
 
 def load_json(path) -> dict:
@@ -81,12 +79,15 @@ def load_json(path) -> dict:
         raise FrameFileError(f"{path} is not valid JSON: {exc}") from None
 
 
-def load_frame(path, norm_tol: float = FRAME_FILE_NORM_TOL) -> Frame:
-    return frame_from_dict(load_json(path), norm_tol=norm_tol)
+def load_frame(path) -> Frame:
+    return frame_from_dict(load_json(path))
 
 
 def dump_frame(f: Frame, path) -> None:
-    Path(path).write_text(json.dumps(frame_to_dict(f), indent=2) + "\n")
+    try:
+        Path(path).write_text(json.dumps(frame_to_dict(f), indent=2) + "\n")
+    except OSError as exc:
+        raise FrameFileError(f"cannot write {path}: {exc}") from None
 
 
 def resolve_state(spec: str, frame: Frame) -> DensityMatrix:

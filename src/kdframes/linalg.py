@@ -32,14 +32,19 @@ class Tolerances:
         return asdict(self)
 
 
+def require_finite(a: np.ndarray, name: str) -> np.ndarray:
+    """Return ``a`` after rejecting NaN or infinite entries, real or imaginary."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return a
+
+
 def as_complex_matrix(x, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-d complex ndarray, rejecting non-finite entries."""
     m = np.asarray(x, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-        raise ValueError(f"{name} contains non-finite entries")
-    return m
+    return require_finite(m, name)
 
 
 def hs_inner(x, y) -> complex:
@@ -86,6 +91,24 @@ def require_hermitian(m, tol: float = STRUCTURAL_TOL) -> np.ndarray:
             f"matrix is not Hermitian: max |m - m^dagger| = {deviation:.3e} > {tol:.1e}"
         )
     return m
+
+
+def require_psd(m: np.ndarray, name: str = "matrix") -> None:
+    """Reject a square complex matrix, or a stack of them diagonalized in one
+    call, unless Hermitian with no eigenvalue below -STRUCTURAL_TOL."""
+    deviation = float(np.abs(m - np.swapaxes(m, -1, -2).conj()).max())
+    if deviation > STRUCTURAL_TOL:
+        raise ValueError(f"{name} must be Hermitian, max |m - m^dagger| = {deviation:.3e}")
+    smallest = float(np.linalg.eigvalsh(m).min())
+    if smallest < -STRUCTURAL_TOL:
+        raise ValueError(f"{name} must be PSD, min eigenvalue {smallest:.3e}")
+
+
+def require_identity(m: np.ndarray, name: str) -> None:
+    """Reject a square matrix more than NUMERIC_TOL from the identity in some entry."""
+    deviation = float(np.abs(m - np.eye(m.shape[0])).max())
+    if deviation > NUMERIC_TOL:
+        raise ValueError(f"{name} must be the identity, max |{name} - I| = {deviation:.3e}")
 
 
 @dataclass(frozen=True)

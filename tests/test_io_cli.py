@@ -133,6 +133,27 @@ class TestFrameCheckCommand:
         result = invoke(runner, ["frame", "check", str(path)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("case", ["large-norm-vectors", "negative-numeric-tolerance"])
+    def test_frame_operator_asymmetry_does_not_abort_report(self, runner, tmp_path, case):
+        # The frame operator is Hermitian by construction; its rounding
+        # asymmetry (about 4e-6 here for norms near 1e5) is not a failure.
+        if case == "large-norm-vectors":
+            rng = np.random.default_rng(0)
+            vectors = 1e5 * (rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3)))
+            document = {"d": 3, "n": 9, "vectors": io.complex_to_pairs(vectors)}
+            flags = []
+        else:
+            document = io.frame_to_dict(sic_qubit())
+            flags = ["--tol-numeric", "-1"]
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(document))
+        result = invoke(runner, ["frame", "check", str(path), "--format", "json"] + flags)
+        assert result.exit_code == 1
+        report = json.loads(result.stdout)
+        assert report["invariants"]["unit_norms"]["pass"] is False
+        assert len(report["frame_operator_spectrum"]) == document["d"]
+        assert result.stderr == "invariant failure: unit_norms\n"
+
 
 class TestFrameGenCommands:
     def test_gen_sic2_round_trips_through_check(self, runner, tmp_path):
@@ -150,6 +171,14 @@ class TestFrameGenCommands:
         assert (document["n"], document["d"]) == (4, 2)
         loaded = io.frame_from_dict(document)
         assert loaded.n == 4
+
+    @pytest.mark.parametrize("command", [["sic2"], ["complement", "SIC"]])
+    def test_unwritable_output_exit_two(self, runner, sic_file, tmp_path, command):
+        out = tmp_path / "missing" / "frame.json"
+        args = ["frame", "gen"] + [sic_file if a == "SIC" else a for a in command]
+        result = invoke(runner, args + ["-o", str(out)])
+        assert result.exit_code == 2
+        assert f"cannot write {out}" in result.stderr
 
     def test_gen_complement_rejects_orthonormal(self, runner, tmp_path):
         path = tmp_path / "basis.json"

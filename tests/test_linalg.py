@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_complex_matrix, random_hermitian, rng_for
-from kdframes.channels import principal_kraus
-from kdframes.frames import DensityMatrix
+from kdframes.channels import Unraveling, principal_kraus
+from kdframes.frames import DensityMatrix, Frame, Povm
 from kdframes.linalg import (
+    as_complex_matrix,
     haar_unitary,
     hermitian_eig,
     hs_inner,
@@ -164,3 +165,46 @@ def test_require_hermitian_tolerance():
     require_hermitian(nearly)
     with pytest.raises(ValueError):
         require_hermitian(np.array([[1.0, 1e-6j], [0.0, 1.0]]))
+
+
+def with_first_entry(a: np.ndarray, value: complex) -> np.ndarray:
+    bad = a.copy()
+    bad.flat[0] = value
+    return bad
+
+
+PROJECTORS = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+# Each shared input check with an input it accepts.
+CHECKED = {
+    "as_complex_matrix": (as_complex_matrix, np.eye(2, dtype=complex)),
+    "Frame": (Frame, np.eye(2, dtype=complex)),
+    "DensityMatrix": (DensityMatrix, np.eye(2, dtype=complex) / 2),
+    "Povm": (Povm, PROJECTORS),
+    "Unraveling": (Unraveling, PROJECTORS),
+}
+# Complete, but neither effect is Hermitian.
+SKEW_EFFECTS = np.array([[[1.0, 0.1], [0.0, 0.0]], [[0.0, -0.1], [0.0, 1.0]]], dtype=complex)
+# Hermitian and complete, but one effect has eigenvalue -0.5.
+NEGATIVE_EFFECT = np.array([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])], dtype=complex)
+INCOMPLETE = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 0.5])], dtype=complex)
+BAD_INPUTS = [
+    pytest.param(name, with_first_entry(valid, value), "non-finite", id=f"{name}-{kind}")
+    for name, (_, valid) in CHECKED.items()
+    for kind, value in (("nan-real", complex(np.nan, 0.0)), ("inf-imag", complex(0.0, np.inf)))
+] + [
+    pytest.param("DensityMatrix", np.array([[0.5, 0.1], [0.0, 0.5]]), "not Hermitian",
+                 id="DensityMatrix-non-hermitian"),
+    pytest.param("DensityMatrix", np.diag([1.5, -0.5]), "must be PSD", id="DensityMatrix-non-psd"),
+    pytest.param("Povm", SKEW_EFFECTS, "effects must be Hermitian", id="Povm-non-hermitian"),
+    pytest.param("Povm", NEGATIVE_EFFECT, "effects must be PSD", id="Povm-non-psd"),
+    pytest.param("Povm", INCOMPLETE, "must be the identity", id="Povm-incomplete"),
+    pytest.param("Unraveling", INCOMPLETE, "must be the identity", id="Unraveling-incomplete"),
+]
+
+
+@pytest.mark.parametrize("name, bad, message", BAD_INPUTS)
+def test_shared_input_checks_reject(name, bad, message):
+    check, valid = CHECKED[name]
+    check(valid)
+    with pytest.raises(ValueError, match=message):
+        check(bad)
