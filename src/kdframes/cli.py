@@ -31,7 +31,6 @@ from .bounds import (
     tsallis_uncertainty_bound,
 )
 from .channels import (
-    extremal_unraveling,
     kd_matrix,
     principal_kraus,
     transform_unraveling,
@@ -226,6 +225,12 @@ def _relative_error(bound: float, true_max: float) -> float | None:
     return (bound - true_max) / true_max if true_max > 0 else None
 
 
+def _clamp_zeros(spectrum: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Extremal outcome probabilities: the Gram spectrum with entries within
+    the structural tolerance of zero set to exactly zero."""
+    return np.where(np.abs(spectrum) <= tol.structural, 0.0, spectrum)
+
+
 # ----------------------------------------------------------------------
 # report builders: pure functions returning (report, failed check names)
 # ----------------------------------------------------------------------
@@ -312,8 +317,7 @@ def build_bounds_report(
     true_max = float(spectrum[0])
     state_purity = purity(rho)
     probs = unraveling_probabilities(unraveling, rho)
-    extremal = spectrum.copy()
-    extremal[np.abs(extremal) <= tol.structural] = 0.0
+    extremal = _clamp_zeros(spectrum, tol)
 
     ic = BoundReport.upper(
         ic_upper_bound(params, state_purity), index_of_coincidence(probs), tol.saturation
@@ -325,10 +329,9 @@ def build_bounds_report(
 
     disks = gershgorin_disks(gram)
     union = gershgorin_union(gram)
-    g_slack = min(
-        max(radius - abs(v - center) for center, radius in disks)
-        for v in spectrum
-    )
+    centers, radii = (np.array(column) for column in zip(*disks))
+    # each eigenvalue's depth inside its best disk; the worst eigenvalue counts
+    g_slack = float((radii - np.abs(spectrum[:, None] - centers)).max(axis=1).min())
 
     closed_interval = etf_eigen_interval(params, state_purity)
     closed_slack = min(float(closed_interval.slack(v)) for v in spectrum)
@@ -437,7 +440,9 @@ def build_extremality_report(
     """
     _require_tight(frame, tol)
     unraveling = principal_kraus(frame, tol.numeric)
-    _, extremal_probs = extremal_unraveling(unraveling, rho, clamp_tol=tol.structural)
+    extremal_probs = _clamp_zeros(
+        hermitian_eig(unraveling_gram(unraveling, rho)).eigenvalues, tol
+    )
     tsallis_alphas = [a for a in alphas if np.isfinite(a)]
     renyi_alphas = sorted({a for a in alphas if a <= 1.0 or a == 2.0} | {np.inf})
     base_tsallis = {a: tsallis_entropy(extremal_probs, a) for a in tsallis_alphas}

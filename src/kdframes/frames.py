@@ -13,6 +13,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
+from .entropy import clean_probabilities
 from .linalg import (
     NUMERIC_TOL,
     STRUCTURAL_TOL,
@@ -190,13 +191,7 @@ def outcome_probabilities(p: Povm, rho: DensityMatrix) -> np.ndarray:
     """Outcome distribution tr(E_j rho)."""
     if p.d != rho.d:
         raise ValueError(f"dimension mismatch: POVM on C^{p.d}, state on C^{rho.d}")
-    probs = np.einsum("jab,ba->j", p.elements, rho.matrix).real
-    if float(probs.min()) < -STRUCTURAL_TOL:
-        raise ValueError(f"negative outcome probability {probs.min():.3e}")
-    total = float(probs.sum())
-    if abs(total - 1.0) > NUMERIC_TOL:
-        raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
-    return probs
+    return clean_probabilities(np.einsum("jab,ba->j", p.elements, rho.matrix).real)
 
 
 def sic_qubit() -> Frame:

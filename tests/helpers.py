@@ -30,3 +30,20 @@ def spectrum_with_equal_tail(mu: float, t: float, n: int, rng: np.random.Generat
     u = haar_unitary(n, rng)
     diag = np.diag([mu] + [t] * (n - 1)).astype(complex)
     return u @ diag @ u.conj().T
+
+
+def paley_frame(p: int):
+    """The (p, (p - 1)/2) Paley ETF: the p rows of the p-point DFT restricted to
+    the nonzero quadratic residues mod p (sorted), scaled to unit norm.
+
+    The residues of a prime p = 3 (mod 4) form a difference set, so the rows
+    meet the Welch bound: they are tight and equiangular (Xia, Zhou and
+    Giannakis, IEEE Trans. IT 51, 2005).
+    """
+    from kdframes.frames import Frame
+
+    if p % 4 != 3 or any(p % k == 0 for k in range(2, int(p**0.5) + 1)):
+        raise ValueError(f"Paley frames need a prime p = 3 (mod 4), got {p}")
+    residues = sorted({k * k % p for k in range(1, p)})
+    phases = np.outer(np.arange(p), residues) % p
+    return Frame(np.exp(2j * np.pi * phases / p) / np.sqrt(len(residues)))

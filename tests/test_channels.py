@@ -310,3 +310,70 @@ class TestKdMatrix:
             residual = np.abs(kd_matrix(povm, rho) - scale * unraveling_gram(u, rho)).max()
             worst = max(worst, float(residual))
         assert worst > 1e-6
+
+
+def kraus_and_state(shape: tuple[int, int, int]) -> tuple[np.ndarray, DensityMatrix]:
+    """Trace-preserving (m, dout, din) stack, a random isometry C^din -> C^(m dout),
+    and a random state on C^din."""
+    m, dout, din = shape
+    rng = rng_for(0)
+    z = rng.standard_normal((m * dout, din)) + 1j * rng.standard_normal((m * dout, din))
+    isometry, _ = np.linalg.qr(z)
+    return isometry.reshape(m, dout, din), random_density_matrix(din, rng)
+
+
+# (m, dout, din): m != d, dout != din both ways, and a single operator.
+KRAUS_SHAPES = [(5, 3, 2), (3, 2, 4), (7, 2, 5), (1, 4, 3), (1, 3, 3)]
+
+
+@pytest.mark.parametrize("shape", KRAUS_SHAPES)
+class TestKernelsMatchEinsumDefinitions:
+    """Each channel kernel against its index formula, written out with einsum."""
+
+    def test_gram(self, shape):
+        kraus, rho = kraus_and_state(shape)
+        expected = np.einsum("iba,jbc,ca->ij", kraus.conj(), kraus, rho.matrix)
+        assert np.abs(unraveling_gram(Unraveling(kraus), rho) - expected).max() <= 1e-12
+
+    def test_probabilities(self, shape):
+        kraus, rho = kraus_and_state(shape)
+        expected = np.einsum("jba,jbc,ca->j", kraus.conj(), kraus, rho.matrix).real
+        got = unraveling_probabilities(Unraveling(kraus), rho)
+        assert np.abs(got - expected).max() <= 1e-12
+
+    def test_apply_channel(self, shape):
+        kraus, rho = kraus_and_state(shape)
+        expected = np.einsum("mab,bc,mdc->ad", kraus, rho.matrix, kraus.conj())
+        got = apply_channel(Unraveling(kraus), rho).matrix
+        assert got.shape == (shape[1], shape[1])
+        assert np.abs(got - expected).max() <= 1e-12
+
+    def test_kd_matrix(self, shape):
+        # Effects A_j^dagger A_j on C^din: n = m effects that sum to the identity.
+        kraus, rho = kraus_and_state(shape)
+        effects = np.einsum("jba,jbc->jac", kraus.conj(), kraus)
+        expected = np.einsum("iab,jbc,ca->ij", effects, effects, rho.matrix)
+        assert np.abs(kd_matrix(Povm(effects), rho) - expected).max() <= 1e-12
+
+    def test_transform_with_zero_padding(self, shape):
+        kraus, rho = kraus_and_state(shape)
+        m, dout, din = shape
+        size = m + 2
+        v = haar_unitary(size, rng_for(7))
+        padded = np.concatenate([kraus, np.zeros((2, dout, din), dtype=complex)])
+        expected = np.einsum("ji,jab->iab", v, padded)
+        mixed = transform_unraveling(Unraveling(kraus), v)
+        assert mixed.kraus.shape == (size, dout, din)
+        assert np.abs(mixed.kraus - expected).max() <= 1e-12
+
+    def test_completeness_check(self, shape):
+        kraus, _ = kraus_and_state(shape)
+        assert np.abs(
+            np.einsum("mia,mib->ab", kraus.conj(), kraus) - np.eye(shape[2])
+        ).max() <= 1e-12
+        Unraveling(kraus)
+        # Stretching one input direction breaks sum A^dag A = I in one diagonal entry.
+        stretched = kraus.copy()
+        stretched[:, :, -1] *= 1.001
+        with pytest.raises(ValueError, match="sum A\\^dag A"):
+            Unraveling(stretched)

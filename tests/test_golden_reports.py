@@ -11,29 +11,23 @@ change of a report, regenerate the files with
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from helpers import paley_frame
 from kdframes import io
 from kdframes.cli import main
-from kdframes.frames import Frame, complement_etf, sic_qubit
+from kdframes.frames import complement_etf, sic_qubit
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 TOL = 1e-12
 STATES = ("maximally-mixed", "frame-state:0")
 
 
-def paley_7_3() -> Frame:
-    """Rows {1, 2, 4} of the 7-point DFT, normalised: the (7, 3) Paley ETF."""
-    phases = np.outer(np.arange(7), [1, 2, 4]) % 7
-    return Frame(np.exp(2j * np.pi * phases / 7) / np.sqrt(3.0))
-
-
 FRAMES = {
     "sic2": sic_qubit,
     "sic2-complement": lambda: complement_etf(sic_qubit()),
-    "paley7": paley_7_3,
+    "paley7": lambda: paley_frame(7),
 }
 
 

@@ -1,0 +1,80 @@
+"""Reports and the Gram kernel on Paley ETFs beyond the qubit sizes.
+
+The (19, 9) and (43, 21) Paley frames have coherence far from the (4, 2)
+cases, so every bound, the Gram kernel and the extremality Monte Carlo get
+checked where a wrong reshape or a d-dependent constant would show.
+"""
+
+import numpy as np
+import pytest
+
+from helpers import paley_frame
+from kdframes.channels import principal_kraus, unraveling_gram
+from kdframes.cli import build_bounds_report, build_extremality_report, build_kd_report
+from kdframes.frames import DensityMatrix, random_density_matrix
+
+SIZES = [19, 43]
+STATES = ["maximally-mixed", "frame-state:0", "random"]
+
+
+def state_of(frame, spec: str) -> DensityMatrix:
+    if spec == "maximally-mixed":
+        return DensityMatrix(np.eye(frame.d) / frame.d)
+    if spec == "frame-state:0":
+        ket = frame.vectors[0]
+        return DensityMatrix(np.outer(ket, ket.conj()))
+    return random_density_matrix(frame.d, frame.n)
+
+
+def rank_one_gram(frame, rho: DensityMatrix) -> np.ndarray:
+    """(d/n) <phi_i|phi_j> <phi_j|rho|phi_i> for frame vectors phi as rows."""
+    v = frame.vectors
+    overlaps = v.conj() @ v.T
+    sandwich = v.conj() @ rho.matrix @ v.T
+    return (frame.d / frame.n) * overlaps * sandwich.T
+
+
+@pytest.fixture(scope="module", params=SIZES, ids=lambda p: f"paley{p}")
+def frame(request):
+    return paley_frame(request.param)
+
+
+@pytest.mark.parametrize("spec", STATES)
+def test_gram_matches_rank_one_closed_form(frame, spec):
+    rho = state_of(frame, spec)
+    gram = unraveling_gram(principal_kraus(frame), rho)
+    assert np.abs(gram - rank_one_gram(frame, rho)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spec", STATES)
+def test_bounds_report_passes_every_check(frame, spec):
+    rho = state_of(frame, spec)
+    report, failures = build_bounds_report(frame, rho, spec, [0.5, 1.0, 2.0, 5.0, np.inf])
+    assert failures == [] and report["passed"]
+    assert all(report["checks"].values())
+    expected = np.linalg.eigvalsh(rank_one_gram(frame, rho))[::-1]
+    assert np.abs(np.array(report["true_spectrum"]) - expected).max() <= 1e-12
+    # reference for the Gershgorin containment slack: a plain loop over eigenvalues and disks
+    disks = [(complex(*disk["center"]), disk["radius"]) for disk in report["gershgorin"]["disks"]]
+    loop_slack = min(
+        max(radius - abs(v - center) for center, radius in disks)
+        for v in report["true_spectrum"]
+    )
+    assert abs(report["gershgorin"]["containment_slack"] - loop_slack) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", STATES)
+def test_kd_report_passes(frame, spec):
+    rho = state_of(frame, spec)
+    report, failures = build_kd_report(frame, rho, spec)
+    assert failures == [] and report["passed"]
+    assert report["kd_vs_scaled_gram_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("spec", STATES)
+def test_extremality_report_passes(frame, spec):
+    rho = state_of(frame, spec)
+    report, failures = build_extremality_report(frame, rho, spec, 10, 3, [0.5, 1.0, 2.0, 5.0])
+    assert failures == [] and report["passed"]
+    expected = np.linalg.eigvalsh(rank_one_gram(frame, rho))[::-1]
+    assert np.abs(np.array(report["extremal_probabilities"]) - expected).max() <= 1e-12
