@@ -123,7 +123,7 @@ def kd_frobenius_norm(params: EtfParameters, ic: float, purity: float) -> float:
     return (params.d / params.n) * np.sqrt(gram_frobenius_sq(params, ic, purity))
 
 
-def eigen_interval(m, tol: float = STRUCTURAL_TOL) -> Interval:
+def eigen_interval(m) -> Interval:
     """Interval around tr(m)/n certain to contain every eigenvalue of a
     Hermitian matrix.
 
@@ -131,7 +131,7 @@ def eigen_interval(m, tol: float = STRUCTURAL_TOL) -> Interval:
     sits exactly on the boundary iff the remaining n - 1 eigenvalues are
     all equal; otherwise the spectrum is strictly inside.
     """
-    m = require_hermitian(m, tol)
+    m = require_hermitian(m)
     n = m.shape[0]
     trace = float(np.trace(m).real)
     return _trace_interval(n, trace, n * float(np.vdot(m, m).real) - trace * trace)

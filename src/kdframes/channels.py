@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import clean_probabilities
-from .frames import DensityMatrix, Frame, Povm, is_tight
+from .frames import DensityMatrix, Frame, Povm
 from .linalg import (
-    NUMERIC_TOL,
     STRUCTURAL_TOL,
     as_complex_matrix,
     hermitian_eig,
@@ -60,14 +59,13 @@ class Unraveling:
         return self.kraus.shape[2]
 
 
-def principal_kraus(f: Frame, tol: float = NUMERIC_TOL) -> Unraveling:
+def principal_kraus(f: Frame) -> Unraveling:
     """Square roots sqrt(d/n) |phi_j><phi_j| of the POVM effects of a tight frame.
 
     The resulting channel maps rho to sum_j p_j |phi_j><phi_j| with p_j the
-    outcome probabilities, so it is entanglement breaking.
+    outcome probabilities, so it is entanglement breaking. The Unraveling
+    completeness check rejects a frame that is not tight.
     """
-    if not is_tight(f, tol):
-        raise ValueError("principal Kraus operators need a tight frame")
     scale = np.sqrt(f.d / f.n)
     kraus = scale * np.einsum("ja,jb->jab", f.vectors, f.vectors.conj())
     return Unraveling(kraus)
@@ -131,19 +129,17 @@ def transform_unraveling(u: Unraveling, v) -> Unraveling:
     return Unraveling(mixed.reshape(size, u.dout, u.din))
 
 
-def extremal_unraveling(
-    u: Unraveling, rho: DensityMatrix, clamp_tol: float = STRUCTURAL_TOL
-) -> tuple[Unraveling, np.ndarray]:
+def extremal_unraveling(u: Unraveling, rho: DensityMatrix) -> tuple[Unraveling, np.ndarray]:
     """Unraveling with diagonal Gram matrix, plus its outcome probabilities.
 
     The mixing unitary is the diagonalizer of the Gram matrix, so the
     probabilities are the Gram eigenvalues sorted non-increasing.
-    Eigenvalues within ``clamp_tol`` of zero are clamped to exactly zero so
+    Eigenvalues within STRUCTURAL_TOL of zero are clamped to exactly zero so
     that rounding noise cannot leak into entropy evaluations.
     """
     spec = hermitian_eig(unraveling_gram(u, rho))
     probs = spec.eigenvalues.copy()
-    probs[np.abs(probs) <= clamp_tol] = 0.0
+    probs[np.abs(probs) <= STRUCTURAL_TOL] = 0.0
     return transform_unraveling(u, spec.eigenvectors), probs
 
 

@@ -167,10 +167,10 @@ def _emit(report: dict, fmt: str | None) -> None:
 
 
 def _finish(fmt: str | None, build, *args, label: str = "check failed") -> None:
-    """Build a report, emit it, and exit 1 naming the failed checks, if any."""
+    """Build and emit a report; exit 1 naming the failed checks or a guard's ValueError."""
     try:
         report, failures = build(*args)
-    except CheckFailure as exc:
+    except (CheckFailure, ValueError) as exc:
         click.echo(f"{label}: {exc}", err=True)
         sys.exit(1)
     _emit(report, fmt)
@@ -278,9 +278,9 @@ def build_kd_report(
 ) -> tuple[dict, list[str]]:
     """Gram and Kirkwood-Dirac matrices plus their proportionality residual."""
     _require_tight(frame, tol)
-    unraveling = principal_kraus(frame, tol.numeric)
+    unraveling = principal_kraus(frame)
     gram = unraveling_gram(unraveling, rho)
-    kd = kd_matrix(povm_from_frame(frame, tol.numeric), rho)
+    kd = kd_matrix(povm_from_frame(frame), rho)
     residual = float(np.abs(kd - (frame.d / frame.n) * gram).max())
     failures = [] if residual <= tol.structural else ["kd_vs_scaled_gram_residual"]
     report = {
@@ -311,7 +311,7 @@ def build_bounds_report(
     if frame.n < 2 or is_equiangular(frame, tol.numeric) is None:
         raise CheckFailure("closed-form bounds need an equiangular tight frame")
     params = EtfParameters.of_frame(frame)
-    unraveling = principal_kraus(frame, tol.numeric)
+    unraveling = principal_kraus(frame)
     gram = unraveling_gram(unraveling, rho)
     spectrum = hermitian_eig(gram).eigenvalues
     true_max = float(spectrum[0])
@@ -323,7 +323,7 @@ def build_bounds_report(
         ic_upper_bound(params, state_purity), index_of_coincidence(probs), tol.saturation
     )
 
-    interval = eigen_interval(gram, tol=tol.numeric)
+    interval = eigen_interval(gram)
     interval_slack = min(float(interval.slack(v)) for v in spectrum)
     max_bound = max_eig_upper_bound(gram)
 
@@ -439,7 +439,7 @@ def build_extremality_report(
     (alpha <= 1, alpha = 2 and alpha = inf).
     """
     _require_tight(frame, tol)
-    unraveling = principal_kraus(frame, tol.numeric)
+    unraveling = principal_kraus(frame)
     extremal_probs = _clamp_zeros(
         hermitian_eig(unraveling_gram(unraveling, rho)).eigenvalues, tol
     )
@@ -525,7 +525,8 @@ def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> tuple[dict, list[s
     actual = float(np.vdot(gram_star, gram_star).real)
     add(
         "mixed-state squared Frobenius norm, two closed forms agree",
-        abs(closed_form_a - closed_form_b) <= 1e-12 and abs(actual - closed_form_a) <= tol.numeric,
+        abs(closed_form_a - closed_form_b) <= tol.structural
+        and abs(actual - closed_form_a) <= tol.numeric,
         closed_form_a=closed_form_a,
         closed_form_b=closed_form_b,
         actual=actual,
@@ -564,7 +565,7 @@ def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> tuple[dict, list[s
     closed_bound = (1.0 + np.sqrt(11.0 / 3.0)) / 4.0
     add(
         "largest-eigenvalue bound (1 + sqrt(11/3))/4 below 0.729",
-        abs(bound - closed_bound) <= 1e-12 and bound < 0.729,
+        abs(bound - closed_bound) <= tol.structural and bound < 0.729,
         bound=bound,
         closed_form=closed_bound,
     )
@@ -572,7 +573,7 @@ def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> tuple[dict, list[s
     radius = etf_eigen_interval(params, 1.0).radius
     add(
         "purity-based interval radius sqrt(11/3)/4",
-        abs(radius - np.sqrt(11.0 / 3.0) / 4.0) <= 1e-12,
+        abs(radius - np.sqrt(11.0 / 3.0) / 4.0) <= tol.structural,
         radius=radius,
     )
 
@@ -627,7 +628,7 @@ def frame() -> None:
 @frame.command("check")
 @click.argument("frame_file", type=click.Path(dir_okay=False))
 @report_options
-def frame_check(frame_file, fmt, tol) -> None:
+def frame_check(frame_file, fmt, tol: Tolerances) -> None:
     """Certify tightness and equiangularity of a frame file."""
     raw = _call_io(io.raw_vectors_from_dict, _call_io(io.load_json, frame_file))
     _finish(fmt, build_frame_check_report, raw, tol, label="invariant failure")
@@ -669,7 +670,7 @@ def gen_complement(frame_file, output) -> None:
     help="maximally-mixed | frame-state:<j> | mixture:<w,...> | matrix:<path>",
 )
 @report_options
-def kd_command(frame_file, state_spec, fmt, tol) -> None:
+def kd_command(frame_file, state_spec, fmt, tol: Tolerances) -> None:
     """Emit the Gram and Kirkwood-Dirac matrices of a tight frame and a state."""
     loaded = _load_frame(frame_file)
     rho = _call_io(io.resolve_state, state_spec, loaded)
@@ -686,7 +687,7 @@ def kd_command(frame_file, state_spec, fmt, tol) -> None:
     help="Comma-separated entropy orders.",
 )
 @report_options
-def bounds_command(frame_file, state_spec, alphas, fmt, tol) -> None:
+def bounds_command(frame_file, state_spec, alphas, fmt, tol: Tolerances) -> None:
     """Compare eigenvalue-location and entropy bounds against achieved values."""
     loaded = _load_frame(frame_file)
     rho = _call_io(io.resolve_state, state_spec, loaded)
@@ -712,7 +713,9 @@ def bounds_command(frame_file, state_spec, alphas, fmt, tol) -> None:
 )
 @click.option("--alphas", default="0.5,1,2,5", show_default=True)
 @report_options
-def verify_extremality(frame_file, state_spec, samples, seed, identity, alphas, fmt, tol) -> None:
+def verify_extremality(
+    frame_file, state_spec, samples, seed, identity, alphas, fmt, tol: Tolerances
+) -> None:
     """Check that the extremal unraveling minimizes the sampled entropies."""
     if samples < 1:
         raise InputError(f"--samples must be at least 1, got {samples}")
@@ -731,7 +734,7 @@ def reproduce() -> None:
 
 @reproduce.command("qubit-sic")
 @report_options
-def reproduce_qubit_sic(fmt, tol) -> None:
+def reproduce_qubit_sic(fmt, tol: Tolerances) -> None:
     """Run every qubit tetrahedron check: matrices, spectrum, bounds, errors."""
     _finish(fmt, build_qubit_sic_report, tol)
 

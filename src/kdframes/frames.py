@@ -179,10 +179,8 @@ def is_equiangular(f: Frame, tol: float = NUMERIC_TOL) -> float | None:
     return float(off.mean())
 
 
-def povm_from_frame(f: Frame, tol: float = NUMERIC_TOL) -> Povm:
-    """Rank-one effects (d/n) |phi_j><phi_j| of a tight frame."""
-    if not is_tight(f, tol):
-        raise ValueError("POVM construction needs a tight frame, completeness would fail")
+def povm_from_frame(f: Frame) -> Povm:
+    """Rank-one effects (d/n) |phi_j><phi_j| of a tight frame (Povm rejects any other)."""
     elements = (f.d / f.n) * np.einsum("ja,jb->jab", f.vectors, f.vectors.conj())
     return Povm(elements)
 
@@ -241,7 +239,7 @@ def complement_etf(f: Frame) -> Frame:
         raise ValueError("complement construction needs an equiangular frame")
     n, d = f.n, f.d
     projector = np.eye(n) - (d / n) * gram_matrix(f)
-    spec = hermitian_eig(projector, tol=NUMERIC_TOL)
+    spec = hermitian_eig(projector)
     k = n - d
     if abs(spec.eigenvalues[k - 1] - 1.0) > NUMERIC_TOL or abs(spec.eigenvalues[k]) > NUMERIC_TOL:
         raise ValueError("complement projector is not a clean 0/1 projection")

@@ -80,15 +80,15 @@ def schatten_norm(x, q: float) -> float:
     return float(np.sum(s**q) ** (1.0 / q))
 
 
-def require_hermitian(m, tol: float = STRUCTURAL_TOL) -> np.ndarray:
-    """Validate Hermiticity entrywise within ``tol`` and return the array."""
+def require_hermitian(m) -> np.ndarray:
+    """Validate Hermiticity entrywise within STRUCTURAL_TOL and return the array."""
     m = as_complex_matrix(m, "matrix")
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"Hermitian matrix must be square, got shape {m.shape}")
     deviation = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
-    if deviation > tol:
+    if deviation > STRUCTURAL_TOL:
         raise ValueError(
-            f"matrix is not Hermitian: max |m - m^dagger| = {deviation:.3e} > {tol:.1e}"
+            f"matrix is not Hermitian: max |m - m^dagger| = {deviation:.3e} > {STRUCTURAL_TOL:.1e}"
         )
     return m
 
@@ -126,9 +126,9 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(m, tol: float = STRUCTURAL_TOL) -> Spectrum:
+def hermitian_eig(m) -> Spectrum:
     """Diagonalize a Hermitian matrix; see :class:`Spectrum` for conventions."""
-    m = require_hermitian(m, tol)
+    m = require_hermitian(m)
     vals, vecs = np.linalg.eigh(m)
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()

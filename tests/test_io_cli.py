@@ -5,10 +5,12 @@ import pytest
 from click.testing import CliRunner
 
 from kdframes import io
-from kdframes.cli import main
-from kdframes.frames import DensityMatrix, orthonormal_frame, purity, sic_qubit
+from kdframes.cli import build_qubit_sic_report, main
+from kdframes.frames import DensityMatrix, Frame, orthonormal_frame, purity, sic_qubit
+from kdframes.linalg import Tolerances
 
 S3 = 1.0 / np.sqrt(3.0)
+S2 = 1.0 / np.sqrt(2.0)
 
 
 @pytest.fixture()
@@ -395,11 +397,100 @@ class TestReproduceCommand:
         names = [
             "mixed-state gram matrix",
             "mixed-state gershgorin radius 1/4",
+            "mixed-state squared Frobenius norm, two closed forms agree",
             "pure-frame-state gram matrix",
+            "largest-eigenvalue bound (1 + sqrt(11/3))/4 below 0.729",
+            "purity-based interval radius sqrt(11/3)/4",
         ]
         assert result.stderr == f"check failed: {', '.join(names)}\n"
+
+    def test_structural_flag_reaches_closed_form_comparisons(self):
+        # the computed bound is 3.3e-16 from its closed form
+        _, failures = build_qubit_sic_report(Tolerances(structural=1e-17))
+        assert "largest-eigenvalue bound (1 + sqrt(11/3))/4 below 0.729" in failures
 
     def test_table_format(self, runner):
         result = invoke(runner, ["reproduce", "qubit-sic", "--format", "table"])
         assert result.exit_code == 0
         assert "passed" in result.output
+
+
+def _nudged_sic() -> Frame:
+    """The qubit SIC with vector 1 moved by 1e-8 and renormalized: its
+    sum A^dag A is off the identity by about 4e-9, above NUMERIC_TOL and
+    below 1e-6."""
+    vectors = sic_qubit().vectors.copy()
+    vectors[1, 0] += 1e-8
+    vectors[1] /= np.linalg.norm(vectors[1])
+    return Frame(vectors)
+
+
+SWEEP_FRAMES = {
+    "sic": sic_qubit,
+    # e0, e1 and (e0 + e1)/sqrt(2): unit vectors, not tight
+    "non-tight": lambda: Frame(np.array([[1, 0], [0, 1], [S2, S2]], dtype=complex)),
+    "nudged-sic": _nudged_sic,
+}
+
+
+@pytest.fixture(scope="module")
+def sweep_files(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("sweep")
+    paths = {}
+    for name, build in SWEEP_FRAMES.items():
+        paths[name] = str(directory / f"{name}.json")
+        io.dump_frame(build(), paths[name])
+    return paths
+
+
+EXTREMALITY = "verify-extremality --samples 2"
+# Tolerances at which a library guard, not a report check, rejects the input.
+GUARD_CASES = [
+    (command, frame_name, flag, value)
+    for command in ["kd", "bounds", EXTREMALITY]
+    for frame_name, flag, value in [
+        ("non-tight", "--tol-numeric", "inf"),
+        ("nudged-sic", "--tol-numeric", "1e-6"),
+        ("nudged-sic", "--tol-numeric", "inf"),
+    ]
+] + [
+    # every Gram eigenvalue is clamped to zero; kd clamps nothing
+    ("bounds", "sic", "--tol-structural", "inf"),
+    (EXTREMALITY, "sic", "--tol-structural", "inf"),
+]
+GUARD_MESSAGES = {
+    "non-tight": "sum A^dag A must be the identity",
+    "nudged-sic": "sum A^dag A must be the identity",
+    "sic": "probabilities must sum to 1, got 0.0",
+}
+
+
+class TestToleranceSweep:
+    """Any value of any --tol-* flag ends in exit 0, 1 or 2, never a traceback."""
+
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan", "1e-6"])
+    @pytest.mark.parametrize("flag", ["--tol-numeric", "--tol-structural", "--tol-saturation"])
+    @pytest.mark.parametrize("frame_name", list(SWEEP_FRAMES))
+    @pytest.mark.parametrize(
+        "command",
+        ["kd", "bounds", EXTREMALITY, "frame check"],
+        ids=["kd", "bounds", "verify-extremality", "frame-check"],
+    )
+    def test_exit_code_without_traceback(
+        self, runner, sweep_files, command, frame_name, flag, value
+    ):
+        # invoke lets any exception other than SystemExit propagate and fail the test
+        args = command.split() + [sweep_files[frame_name], flag, value, "--format", "json"]
+        result = invoke(runner, args)
+        assert result.exit_code in (0, 1, 2)
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("case", GUARD_CASES, ids=" ".join)
+    def test_library_guard_is_a_named_check_failure(self, runner, sweep_files, case):
+        command, frame_name, flag, value = case
+        args = command.split() + [sweep_files[frame_name], flag, value]
+        result = invoke(runner, args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"check failed: {GUARD_MESSAGES[frame_name]}")
+        assert result.stderr.count("\n") == 1

@@ -1,8 +1,9 @@
 """Reports and the Gram kernel on Paley ETFs beyond the qubit sizes.
 
-The (19, 9) and (43, 21) Paley frames have coherence far from the (4, 2)
-cases, so every bound, the Gram kernel and the extremality Monte Carlo get
-checked where a wrong reshape or a d-dependent constant would show.
+The (19, 9) and (43, 21) Paley frames and their Naimark complements
+(19, 10) and (43, 22) have coherence far from the (4, 2) cases, so every
+bound, the Gram kernel and the extremality Monte Carlo get checked where a
+wrong reshape or a d-dependent constant would show.
 """
 
 import numpy as np
@@ -11,9 +12,10 @@ import pytest
 from helpers import paley_frame
 from kdframes.channels import principal_kraus, unraveling_gram
 from kdframes.cli import build_bounds_report, build_extremality_report, build_kd_report
-from kdframes.frames import DensityMatrix, random_density_matrix
+from kdframes.frames import DensityMatrix, complement_etf, random_density_matrix
 
-SIZES = [19, 43]
+# (p, whether to take the Naimark complement of the Paley frame)
+FRAMES = [(19, False), (43, False), (19, True), (43, True)]
 STATES = ["maximally-mixed", "frame-state:0", "random"]
 
 
@@ -34,9 +36,14 @@ def rank_one_gram(frame, rho: DensityMatrix) -> np.ndarray:
     return (frame.d / frame.n) * overlaps * sandwich.T
 
 
-@pytest.fixture(scope="module", params=SIZES, ids=lambda p: f"paley{p}")
+@pytest.fixture(
+    scope="module",
+    params=FRAMES,
+    ids=lambda case: f"paley{case[0]}" + ("-complement" if case[1] else ""),
+)
 def frame(request):
-    return paley_frame(request.param)
+    p, complement = request.param
+    return complement_etf(paley_frame(p)) if complement else paley_frame(p)
 
 
 @pytest.mark.parametrize("spec", STATES)
