@@ -40,10 +40,6 @@ class Interval:
             raise ValueError(f"need lower <= upper, got [{self.lower}, {self.upper}]")
 
     @property
-    def center(self) -> float:
-        return 0.5 * (self.lower + self.upper)
-
-    @property
     def radius(self) -> float:
         return 0.5 * (self.upper - self.lower)
 
@@ -118,6 +114,17 @@ def gram_frobenius_sq(params: EtfParameters, ic: float, purity: float) -> float:
     return (1.0 - c) * ic + c * purity
 
 
+def _frobenius_bound(params: EtfParameters, purity: float) -> float:
+    """Upper bound F = (1 - c) IC_max + c purity on the squared Frobenius norm
+    of every unraveling Gram matrix of the principal ETF channel, with IC_max
+    from :func:`ic_upper_bound`.
+
+    Every closed form below derives from it: the eigenvalue interval, the
+    collision-entropy term of the Renyi bound and the Tsallis bound.
+    """
+    return gram_frobenius_sq(params, ic_upper_bound(params, purity), purity)
+
+
 def kd_frobenius_norm(params: EtfParameters, ic: float, purity: float) -> float:
     """Frobenius norm of the Kirkwood-Dirac matrix: (d/n) times the Gram norm."""
     return (params.d / params.n) * np.sqrt(gram_frobenius_sq(params, ic, purity))
@@ -183,16 +190,11 @@ def etf_eigen_interval(params: EtfParameters, purity: float) -> Interval:
     """Eigenvalue interval for the Gram matrix of any unraveling of the
     principal ETF channel, in terms of frame size and purity only.
 
-    Center 1/n; radius sqrt(n-1)/n times the square root of
-    ((1-c)^2/S^2 + c) n purity + (1-c) c d - 1. For the maximally mixed
-    state it coincides with the Gershgorin interval of radius (n-d)/(nd).
+    Center 1/n; radius sqrt(n-1)/n sqrt(n F - 1), with F the Frobenius
+    bound of :func:`_frobenius_bound`. For the maximally mixed state it
+    coincides with the Gershgorin interval of radius (n-d)/(nd).
     """
-    _check_purity(params, purity)
-    n, d = params.n, params.d
-    s = params.redundancy
-    c = params.coherence
-    arg = ((1.0 - c) ** 2 / (s * s) + c) * n * purity + (1.0 - c) * c * d - 1.0
-    return _trace_interval(n, 1.0, arg)
+    return _trace_interval(params.n, 1.0, params.n * _frobenius_bound(params, purity) - 1.0)
 
 
 def etf_spectral_bound(params: EtfParameters, purity: float) -> float:
@@ -206,16 +208,12 @@ def renyi_uncertainty_bound(params: EtfParameters, purity: float, alpha: float) 
     the outcome distribution of any unraveling of the principal ETF channel.
 
     Interpolates between the collision-entropy bound (minus the log of the
-    closed-form Frobenius estimate) and the min-entropy bound (minus the
-    log of the spectral bound).
+    Frobenius bound) and the min-entropy bound (minus the log of the
+    spectral bound).
     """
     if not alpha >= 2.0:
         raise ValueError(f"Renyi bound defined for alpha >= 2, got {alpha}")
-    _check_purity(params, purity)
-    s = params.redundancy
-    c = params.coherence
-    frobenius_estimate = (1.0 - c) * c / s + ((1.0 - c) ** 2 / (s * s) + c) * purity
-    r2 = max(-float(np.log(frobenius_estimate)), 0.0)
+    r2 = max(-float(np.log(_frobenius_bound(params, purity))), 0.0)
     rinf = max(-float(np.log(etf_spectral_bound(params, purity))), 0.0)
     return renyi_interpolation_bound(r2, rinf, alpha)
 
@@ -224,15 +222,12 @@ def tsallis_uncertainty_bound(params: EtfParameters, purity: float, alpha: float
     """Lower bound on the order-alpha Tsallis entropy, alpha in (0, 2], of
     the outcome distribution of any unraveling of the principal ETF channel.
 
-    The deformed logarithm of S^2 / [(1-c) c S + ((1-c)^2 + c S^2) purity].
+    The deformed logarithm of 1/F, F the Frobenius bound; written out,
+    S^2 / [(1-c) c S + ((1-c)^2 + c S^2) purity].
     """
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"Tsallis bound defined for alpha in (0, 2], got {alpha}")
-    _check_purity(params, purity)
-    s = params.redundancy
-    c = params.coherence
-    denom = (1.0 - c) * c * s + ((1.0 - c) ** 2 + c * s * s) * purity
-    return alpha_log(s * s / denom, alpha)
+    return alpha_log(1.0 / _frobenius_bound(params, purity), alpha)
 
 
 def pure_state_margin(n: int, d: int) -> float:

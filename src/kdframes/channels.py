@@ -8,8 +8,8 @@ re-mixing; diagonalizing it produces the extremal unraveling, whose
 outcome distribution minimizes the usual entropy families over the
 unitary freedom.
 
-The Gram, Kirkwood-Dirac, probability and channel contractions are each
-one batched product K @ rho followed by one product over the flattened
+The Gram, Kirkwood-Dirac and probability contractions are each one
+batched product K @ rho followed by one product over the flattened
 operators, so a Gram or Kirkwood-Dirac matrix of m operators on C^d
 costs O(m d^3 + m^2 d^2).
 """
@@ -22,13 +22,7 @@ import numpy as np
 
 from .entropy import clean_probabilities
 from .frames import DensityMatrix, Frame, Povm
-from .linalg import (
-    STRUCTURAL_TOL,
-    as_complex_matrix,
-    hermitian_eig,
-    require_finite,
-    require_identity,
-)
+from .linalg import as_complex_matrix, require_finite, require_identity
 
 
 @dataclass(frozen=True)
@@ -69,16 +63,6 @@ def principal_kraus(f: Frame) -> Unraveling:
     scale = np.sqrt(f.d / f.n)
     kraus = scale * np.einsum("ja,jb->jab", f.vectors, f.vectors.conj())
     return Unraveling(kraus)
-
-
-def apply_channel(u: Unraveling, rho: DensityMatrix) -> DensityMatrix:
-    """Operator-sum action sum_j A_j rho A_j^dagger."""
-    if u.din != rho.d:
-        raise ValueError(f"dimension mismatch: Kraus input C^{u.din}, state C^{rho.d}")
-    # sum_j (A_j rho) A_j^dagger as one product over the (j, column) pairs
-    left = (u.kraus @ rho.matrix).transpose(1, 0, 2).reshape(u.dout, -1)
-    right = u.kraus.transpose(1, 0, 2).reshape(u.dout, -1)
-    return DensityMatrix(left @ right.conj().T)
 
 
 def unraveling_gram(u: Unraveling, rho: DensityMatrix) -> np.ndarray:
@@ -127,20 +111,6 @@ def transform_unraveling(u: Unraveling, v) -> Unraveling:
     # zero operators padded at the tail contribute nothing: only v[:m] enters
     mixed = v[: u.m].T @ u.kraus.reshape(u.m, -1)
     return Unraveling(mixed.reshape(size, u.dout, u.din))
-
-
-def extremal_unraveling(u: Unraveling, rho: DensityMatrix) -> tuple[Unraveling, np.ndarray]:
-    """Unraveling with diagonal Gram matrix, plus its outcome probabilities.
-
-    The mixing unitary is the diagonalizer of the Gram matrix, so the
-    probabilities are the Gram eigenvalues sorted non-increasing.
-    Eigenvalues within STRUCTURAL_TOL of zero are clamped to exactly zero so
-    that rounding noise cannot leak into entropy evaluations.
-    """
-    spec = hermitian_eig(unraveling_gram(u, rho))
-    probs = spec.eigenvalues.copy()
-    probs[np.abs(probs) <= STRUCTURAL_TOL] = 0.0
-    return transform_unraveling(u, spec.eigenvectors), probs
 
 
 def unraveling_probabilities(u: Unraveling, rho: DensityMatrix) -> np.ndarray:

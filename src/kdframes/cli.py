@@ -109,6 +109,15 @@ def report_options(f):
     return command
 
 
+_state_option = click.option(
+    "--state",
+    "state_spec",
+    default="maximally-mixed",
+    show_default=True,
+    help="maximally-mixed | frame-state:<j> | mixture:<w,...> | matrix:<path>",
+)
+
+
 def _floats(values) -> list[float]:
     return [float(v) for v in np.asarray(values).ravel()]
 
@@ -662,13 +671,7 @@ def gen_complement(frame_file, output) -> None:
 
 @main.command("kd")
 @click.argument("frame_file", type=click.Path(dir_okay=False))
-@click.option(
-    "--state",
-    "state_spec",
-    default="maximally-mixed",
-    show_default=True,
-    help="maximally-mixed | frame-state:<j> | mixture:<w,...> | matrix:<path>",
-)
+@_state_option
 @report_options
 def kd_command(frame_file, state_spec, fmt, tol: Tolerances) -> None:
     """Emit the Gram and Kirkwood-Dirac matrices of a tight frame and a state."""
@@ -679,7 +682,7 @@ def kd_command(frame_file, state_spec, fmt, tol: Tolerances) -> None:
 
 @main.command("bounds")
 @click.argument("frame_file", type=click.Path(dir_okay=False))
-@click.option("--state", "state_spec", default="maximally-mixed", show_default=True)
+@_state_option
 @click.option(
     "--alphas",
     default="0.5,1,2,5,inf",
@@ -696,11 +699,11 @@ def bounds_command(frame_file, state_spec, alphas, fmt, tol: Tolerances) -> None
 
 @main.command("verify-extremality")
 @click.argument("frame_file", type=click.Path(dir_okay=False))
-@click.option("--state", "state_spec", default="maximally-mixed", show_default=True)
-@click.option("--samples", type=int, default=200, show_default=True)
+@_state_option
+@click.option("--samples", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option(
     "--seed",
-    type=int,
+    type=click.IntRange(min=0),
     default=0,
     show_default=True,
     envvar="KDF_SEED",
@@ -717,8 +720,6 @@ def verify_extremality(
     frame_file, state_spec, samples, seed, identity, alphas, fmt, tol: Tolerances
 ) -> None:
     """Check that the extremal unraveling minimizes the sampled entropies."""
-    if samples < 1:
-        raise InputError(f"--samples must be at least 1, got {samples}")
     loaded = _load_frame(frame_file)
     rho = _call_io(io.resolve_state, state_spec, loaded)
     orders = _parse_alphas(alphas)

@@ -281,7 +281,3 @@ def random_density_matrix(d: int, rng, rank: int | None = None) -> DensityMatrix
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m).real)
 
-
-def random_pure_state(d: int, rng) -> DensityMatrix:
-    """Haar-random pure state on C^d."""
-    return random_density_matrix(d, rng, rank=1)

@@ -50,11 +50,16 @@ def raw_vectors_from_dict(data, name: str = "frame file") -> np.ndarray:
     for key in ("d", "n", "vectors"):
         if key not in data:
             raise FrameFileError(f"{name} is missing the '{key}' field")
+    for key in ("n", "d"):
+        # bool is an int subclass, but true/false is no size
+        if type(data[key]) is not int:
+            shown = json.dumps(data[key], default=repr)
+            raise FrameFileError(f"{name} field '{key}' must be an integer, got {shown}")
     vectors = pairs_to_complex(data["vectors"], "vectors")
     if vectors.ndim != 2:
         raise FrameFileError(f"vectors must form an n-by-d array, got shape {vectors.shape}")
     n, d = vectors.shape
-    if (n, d) != (int(data["n"]), int(data["d"])):
+    if (n, d) != (data["n"], data["d"]):
         raise FrameFileError(
             f"declared size n={data['n']}, d={data['d']} does not match the "
             f"{n}-by-{d} vector array"

@@ -1,7 +1,7 @@
 """Dense complex matrix kernel.
 
-Inner products, Schatten norms, Hermitian eigendecomposition, singular
-values and Haar-random unitaries used by the frame and channel layers.
+Schatten norms, Hermitian eigendecomposition, singular values and
+Haar-random unitaries used by the frame and channel layers.
 All functions are pure; randomness enters only through an explicit seed
 or ``numpy.random.Generator``, never through global state.
 """
@@ -45,15 +45,6 @@ def as_complex_matrix(x, name: str = "matrix") -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {m.shape}")
     return require_finite(m, name)
-
-
-def hs_inner(x, y) -> complex:
-    """Hilbert-Schmidt inner product tr(x^dagger y)."""
-    x = as_complex_matrix(x, "x")
-    y = as_complex_matrix(y, "y")
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return complex(np.vdot(x, y))
 
 
 def singular_values(x) -> np.ndarray:

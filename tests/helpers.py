@@ -47,3 +47,18 @@ def paley_frame(p: int):
     residues = sorted({k * k % p for k in range(1, p)})
     phases = np.outer(np.arange(p), residues) % p
     return Frame(np.exp(2j * np.pi * phases / p) / np.sqrt(len(residues)))
+
+
+def operator_sum(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Channel output sum_j A_j rho A_j^dagger, written out with einsum."""
+    return np.einsum("mab,bc,mdc->ad", kraus, rho, kraus.conj())
+
+
+def extremal_probabilities(unraveling, rho) -> np.ndarray:
+    """Outcome distribution of the Gram-diagonalizing unraveling: the Gram
+    eigenvalues, with rounded zeros set to exactly zero as the reports do."""
+    from kdframes.channels import unraveling_gram
+    from kdframes.linalg import STRUCTURAL_TOL, hermitian_eig
+
+    spectrum = hermitian_eig(unraveling_gram(unraveling, rho)).eigenvalues
+    return np.where(np.abs(spectrum) <= STRUCTURAL_TOL, 0.0, spectrum)

@@ -10,7 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_complex_matrix, random_hermitian, spectrum_with_equal_tail
+from helpers import (
+    extremal_probabilities,
+    random_complex_matrix,
+    random_hermitian,
+    spectrum_with_equal_tail,
+)
 from kdframes.bounds import (
     eigen_interval,
     gershgorin_union,
@@ -23,7 +28,6 @@ from kdframes.bounds import (
     tsallis_uncertainty_bound,
 )
 from kdframes.channels import (
-    extremal_unraveling,
     kd_matrix,
     principal_kraus,
     transform_unraveling,
@@ -39,7 +43,6 @@ from kdframes.frames import (
     povm_from_frame,
     purity,
     random_density_matrix,
-    random_pure_state,
 )
 from kdframes.linalg import haar_unitary, hermitian_eig, schatten_norm, singular_values
 
@@ -175,7 +178,7 @@ def sampled_distributions(sic, n_states=20, n_unitaries=200):
     population = []
     for j in range(n_states):
         rho = random_density_matrix(2, state_rng(50, j))
-        _, extremal_probs = extremal_unraveling(unraveling, rho)
+        extremal_probs = extremal_probabilities(unraveling, rho)
         sampled = [
             unraveling_probabilities(transform_unraveling(unraveling, u), rho)
             for u in unitaries
@@ -231,7 +234,7 @@ def test_criterion_6_uncertainty_bounds(sic, mc_population):
     # saturates the Frobenius chain: maximally mixed state, extremal
     # unraveling of the principal channel.
     rho_star = DensityMatrix(np.eye(2) / 2)
-    _, extremal_probs = extremal_unraveling(principal_kraus(sic), rho_star)
+    extremal_probs = extremal_probabilities(principal_kraus(sic), rho_star)
     achieved = tsallis_entropy(extremal_probs, 2.0)
     bound = tsallis_uncertainty_bound(params, 0.5, 2.0)
     saturation_gap = abs(achieved - bound)
@@ -331,14 +334,10 @@ def test_criterion_9_kd_proportionality(catalog):
     gammas_sq = np.array([0.7, 0.3, 1.0])
     povm = Povm(np.einsum("j,ja,jb->jab", gammas_sq, kets, kets.conj()))
     unraveling = Unraveling(np.einsum("j,ja,jb->jab", np.sqrt(gammas_sq), kets, kets.conj()))
+    pure_states = [random_density_matrix(2, state_rng(90, k), rank=1) for k in range(20)]
     violation = max(
-        float(
-            np.abs(
-                kd_matrix(povm, random_pure_state(2, state_rng(90, k)))
-                - (2.0 / 3.0) * unraveling_gram(unraveling, random_pure_state(2, state_rng(90, k)))
-            ).max()
-        )
-        for k in range(20)
+        float(np.abs(kd_matrix(povm, rho) - (2.0 / 3.0) * unraveling_gram(unraveling, rho)).max())
+        for rho in pure_states
     )
     assert violation > 1e-6
 

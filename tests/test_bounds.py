@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_complex_matrix, random_hermitian, rng_for, spectrum_with_equal_tail
+from helpers import (
+    extremal_probabilities,
+    random_complex_matrix,
+    random_hermitian,
+    rng_for,
+    spectrum_with_equal_tail,
+)
 from kdframes.bounds import (
     BoundReport,
     Interval,
@@ -43,6 +49,12 @@ from kdframes.linalg import haar_unitary, hermitian_eig, schatten_norm, singular
 seeds = st.integers(0, 2**32 - 1)
 
 SIC_PARAMS = EtfParameters(4, 2)
+
+# ETF sizes for the written-out closed forms: the qubit SIC, two unrealized
+# parameter pairs, and the Paley ETFs (7, 3), (19, 9), (43, 21) with their
+# Naimark complements.
+CLOSED_FORM_SIZES = [(4, 2), (9, 3), (6, 3), (7, 3), (7, 4), (19, 9), (19, 10), (43, 21), (43, 22)]
+
 
 
 def sic_pure_gram(sic):
@@ -138,7 +150,7 @@ class TestEigenInterval:
 
     def test_sic_pure_gram_interval(self, sic):
         interval = eigen_interval(sic_pure_gram(sic))
-        assert interval.center == pytest.approx(0.25, abs=1e-12)
+        assert interval.lower + interval.radius == pytest.approx(0.25, abs=1e-12)
         assert interval.radius == pytest.approx(np.sqrt(11.0 / 3.0) / 4.0, abs=1e-12)
 
     def test_scalar_matrix_degenerate(self):
@@ -159,7 +171,7 @@ class TestSingularInterval:
         u = haar_unitary(4, 17)
         interval = singular_interval(u)
         assert interval.radius == pytest.approx(0.0, abs=1e-7)
-        assert interval.center == pytest.approx(1.0, abs=1e-10)
+        assert interval.lower + interval.radius == pytest.approx(1.0, abs=1e-10)
 
     def test_equal_tail_boundary(self):
         interval = singular_interval(np.diag([2.0, 1.0, 1.0]).astype(complex))
@@ -243,7 +255,7 @@ class TestGershgorin:
 class TestEtfInterval:
     def test_sic_pure_radius(self):
         interval = etf_eigen_interval(SIC_PARAMS, 1.0)
-        assert interval.center == pytest.approx(0.25)
+        assert interval.lower + interval.radius == pytest.approx(0.25)
         assert interval.radius == pytest.approx(np.sqrt(11.0 / 3.0) / 4.0, abs=1e-12)
 
     def test_maximally_mixed_matches_gershgorin_radius(self, catalog):
@@ -257,6 +269,18 @@ class TestEtfInterval:
         params = EtfParameters(3, 3)
         interval = etf_eigen_interval(params, 1.0)
         assert interval.radius == pytest.approx(np.sqrt(2.0) / 3.0 * np.sqrt(2.0))
+
+    @pytest.mark.parametrize("n,d", CLOSED_FORM_SIZES)
+    def test_matches_written_out_radicand(self, n, d):
+        c = coherence_constant(n, d)
+        s = n / d
+        for state_purity in np.linspace(1.0 / d, 1.0, 7):
+            radicand = ((1 - c) ** 2 / s**2 + c) * n * state_purity + (1 - c) * c * d - 1.0
+            interval = etf_eigen_interval(EtfParameters(n, d), state_purity)
+            assert interval.lower + interval.radius == pytest.approx(1.0 / n, abs=1e-12)
+            assert interval.radius == pytest.approx(
+                np.sqrt(n - 1.0) / n * np.sqrt(radicand), abs=1e-12
+            )
 
     @settings(deadline=None, max_examples=30)
     @given(seed=seeds)
@@ -324,7 +348,7 @@ class TestRenyiUncertaintyBound:
         with pytest.raises(ValueError):
             renyi_uncertainty_bound(SIC_PARAMS, 1.0, 1.5)
 
-    @pytest.mark.parametrize("n,d", [(4, 2), (9, 3), (6, 3)])
+    @pytest.mark.parametrize("n,d", CLOSED_FORM_SIZES)
     @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 7.0, 50.0])
     def test_matches_single_expression_form(self, n, d, alpha):
         params = EtfParameters(n, d)
@@ -362,6 +386,16 @@ class TestTsallisUncertaintyBound:
             alpha_log(1.0 / p, alpha)
         )
 
+    @pytest.mark.parametrize("n,d", CLOSED_FORM_SIZES)
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 2.0])
+    def test_matches_written_out_expression(self, n, d, alpha):
+        c = coherence_constant(n, d)
+        s = n / d
+        for state_purity in np.linspace(1.0 / d, 1.0, 7):
+            arg = s * s / ((1 - c) * c * s + ((1 - c) ** 2 + c * s * s) * state_purity)
+            bound = tsallis_uncertainty_bound(EtfParameters(n, d), state_purity, alpha)
+            assert bound == pytest.approx(alpha_log(arg, alpha), abs=1e-12)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             tsallis_uncertainty_bound(SIC_PARAMS, 1.0, 2.5)
@@ -381,10 +415,8 @@ class TestTsallisUncertaintyBound:
         # With the coincidence bound saturated (frame mixtures), the order-2
         # bound equals 1 - sum of squared Gram eigenvalues, which is the
         # Tsallis entropy of the extremal distribution.
-        from kdframes.channels import extremal_unraveling
-
         for rho in (DensityMatrix(np.eye(2) / 2), frame_mixture(sic, [1, 0, 0, 0])):
-            _, probs = extremal_unraveling(principal_kraus(sic), rho)
+            probs = extremal_probabilities(principal_kraus(sic), rho)
             achieved = tsallis_entropy(probs, 2.0)
             bound = tsallis_uncertainty_bound(SIC_PARAMS, purity(rho), 2.0)
             assert achieved == pytest.approx(bound, abs=1e-8)

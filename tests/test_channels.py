@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import rng_for
+from helpers import operator_sum, rng_for
 from kdframes.channels import (
     Unraveling,
-    apply_channel,
-    extremal_unraveling,
     kd_matrix,
     principal_kraus,
     transform_unraveling,
@@ -21,7 +19,6 @@ from kdframes.frames import (
     outcome_probabilities,
     povm_from_frame,
     random_density_matrix,
-    random_pure_state,
 )
 from kdframes.linalg import haar_unitary, hermitian_eig
 
@@ -48,6 +45,11 @@ SIC_PURE_GRAM = (
 def pure_frame_state(frame: Frame, j: int) -> DensityMatrix:
     ket = frame.vectors[j]
     return DensityMatrix(np.outer(ket, ket.conj()))
+
+
+def extremal(u: Unraveling, rho: DensityMatrix) -> Unraveling:
+    """Re-unraveling of u by the unitary that diagonalizes its Gram matrix at rho."""
+    return transform_unraveling(u, hermitian_eig(unraveling_gram(u, rho)).eigenvectors)
 
 
 class TestUnraveling:
@@ -80,8 +82,8 @@ class TestPrincipalKraus:
     def test_orthonormal_gives_dephasing(self):
         basis = orthonormal_frame(2)
         rho = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
-        out = apply_channel(principal_kraus(basis), rho)
-        assert out.matrix == pytest.approx(np.diag([0.5, 0.5]).astype(complex), abs=1e-12)
+        out = operator_sum(principal_kraus(basis).kraus, rho.matrix)
+        assert out == pytest.approx(np.diag([0.5, 0.5]).astype(complex), abs=1e-12)
 
     def test_non_tight_rejected(self):
         vectors = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -89,12 +91,7 @@ class TestPrincipalKraus:
             principal_kraus(Frame(vectors))
 
 
-class TestApplyChannel:
-    def test_identity_unraveling(self):
-        u = Unraveling(np.eye(2)[None, :, :].astype(complex))
-        rho = random_density_matrix(2, rng_for(1))
-        assert apply_channel(u, rho).matrix == pytest.approx(rho.matrix)
-
+class TestPrincipalChannel:
     @settings(deadline=None, max_examples=25)
     @given(seed=seeds)
     def test_sic_channel_output_form(self, seed, sic):
@@ -104,12 +101,12 @@ class TestApplyChannel:
         rho = random_density_matrix(2, rng_for(seed))
         probs = outcome_probabilities(povm_from_frame(sic), rho)
         expected = np.einsum("j,ja,jb->ab", probs, sic.vectors, sic.vectors.conj())
-        assert apply_channel(u, rho).matrix == pytest.approx(expected, abs=1e-12)
+        assert operator_sum(u.kraus, rho.matrix) == pytest.approx(expected, abs=1e-12)
 
     def test_sic_fixes_maximally_mixed(self, sic):
         rho = DensityMatrix(np.eye(2) / 2)
-        out = apply_channel(principal_kraus(sic), rho)
-        assert out.matrix == pytest.approx(rho.matrix, abs=1e-12)
+        out = operator_sum(principal_kraus(sic).kraus, rho.matrix)
+        assert out == pytest.approx(rho.matrix, abs=1e-12)
 
 
 class TestGram:
@@ -133,8 +130,6 @@ class TestGram:
         # Gram view: entry (i, j) is <A_i sqrt(rho), A_j sqrt(rho)> in the
         # Hilbert-Schmidt product; sqrt(rho) from the eigendecomposition
         # with rounded-negative eigenvalues clamped at zero.
-        from kdframes.linalg import hermitian_eig, hs_inner
-
         rho = random_density_matrix(2, rng_for(seed))
         spec = hermitian_eig(rho.matrix)
         sqrt_rho = (
@@ -146,7 +141,7 @@ class TestGram:
         gram = unraveling_gram(principal_kraus(sic), rho)
         for i in range(4):
             for j in range(4):
-                overlap = hs_inner(kraus[i] @ sqrt_rho, kraus[j] @ sqrt_rho)
+                overlap = np.vdot(kraus[i] @ sqrt_rho, kraus[j] @ sqrt_rho)
                 assert gram[i, j] == pytest.approx(overlap, abs=1e-12)
 
     @settings(deadline=None, max_examples=40)
@@ -189,8 +184,8 @@ class TestTransform:
         mixed = transform_unraveling(u, haar_unitary(4, rng))
         for _ in range(3):
             rho = random_density_matrix(2, rng)
-            assert apply_channel(mixed, rho).matrix == pytest.approx(
-                apply_channel(u, rho).matrix, abs=1e-10
+            assert operator_sum(mixed.kraus, rho.matrix) == pytest.approx(
+                operator_sum(u.kraus, rho.matrix), abs=1e-10
             )
 
     @settings(deadline=None, max_examples=25)
@@ -213,16 +208,17 @@ class TestExtremal:
     def test_already_diagonal(self):
         basis = orthonormal_frame(3)
         rho = DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex))
-        _, probs = extremal_unraveling(principal_kraus(basis), rho)
+        probs = unraveling_probabilities(extremal(principal_kraus(basis), rho), rho)
         assert probs == pytest.approx([0.5, 0.3, 0.2], abs=1e-12)
 
     def test_sic_pure_frame_state(self, sic):
-        _, probs = extremal_unraveling(principal_kraus(sic), pure_frame_state(sic, 0))
+        rho = pure_frame_state(sic, 0)
+        probs = unraveling_probabilities(extremal(principal_kraus(sic), rho), rho)
         assert probs == pytest.approx([2 / 3, 1 / 3, 0.0, 0.0], abs=1e-10)
-        assert probs[2] == 0.0 and probs[3] == 0.0
 
     def test_sic_maximally_mixed(self, sic):
-        _, probs = extremal_unraveling(principal_kraus(sic), DensityMatrix(np.eye(2) / 2))
+        rho = DensityMatrix(np.eye(2) / 2)
+        probs = unraveling_probabilities(extremal(principal_kraus(sic), rho), rho)
         assert probs == pytest.approx([0.5, 1 / 6, 1 / 6, 1 / 6], abs=1e-10)
 
     @settings(deadline=None, max_examples=25)
@@ -230,13 +226,11 @@ class TestExtremal:
     def test_output_gram_is_diagonal(self, seed, sic):
         u = principal_kraus(sic)
         rho = random_density_matrix(2, rng_for(seed))
-        extremal, probs = extremal_unraveling(u, rho)
-        gram = unraveling_gram(extremal, rho)
+        gram = unraveling_gram(extremal(u, rho), rho)
         off = gram - np.diag(np.diagonal(gram))
         assert np.abs(off).max() <= 1e-10
         input_spectrum = hermitian_eig(unraveling_gram(u, rho)).eigenvalues
         assert np.diagonal(gram).real == pytest.approx(input_spectrum, abs=1e-10)
-        assert probs == pytest.approx(np.diagonal(gram).real, abs=1e-10)
 
 
 class TestProbabilities:
@@ -306,7 +300,7 @@ class TestKdMatrix:
         scale = 2.0 / 3.0
         worst = 0.0
         for seed in range(20):
-            rho = random_pure_state(2, rng_for(seed))
+            rho = random_density_matrix(2, rng_for(seed), rank=1)
             residual = np.abs(kd_matrix(povm, rho) - scale * unraveling_gram(u, rho)).max()
             worst = max(worst, float(residual))
         assert worst > 1e-6
@@ -339,13 +333,6 @@ class TestKernelsMatchEinsumDefinitions:
         kraus, rho = kraus_and_state(shape)
         expected = np.einsum("jba,jbc,ca->j", kraus.conj(), kraus, rho.matrix).real
         got = unraveling_probabilities(Unraveling(kraus), rho)
-        assert np.abs(got - expected).max() <= 1e-12
-
-    def test_apply_channel(self, shape):
-        kraus, rho = kraus_and_state(shape)
-        expected = np.einsum("mab,bc,mdc->ad", kraus, rho.matrix, kraus.conj())
-        got = apply_channel(Unraveling(kraus), rho).matrix
-        assert got.shape == (shape[1], shape[1])
         assert np.abs(got - expected).max() <= 1e-12
 
     def test_kd_matrix(self, shape):

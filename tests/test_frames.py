@@ -19,7 +19,6 @@ from kdframes.frames import (
     povm_from_frame,
     purity,
     random_density_matrix,
-    random_pure_state,
     sic_qubit,
 )
 from kdframes.linalg import hermitian_eig
@@ -268,7 +267,7 @@ class TestRandomStates:
         assert 1.0 / d - 1e-10 <= purity(rho) <= 1.0 + 1e-10
 
     def test_pure_state_purity(self):
-        assert purity(random_pure_state(4, rng_for(8))) == pytest.approx(1.0, abs=1e-10)
+        assert purity(random_density_matrix(4, rng_for(8), rank=1)) == pytest.approx(1.0, abs=1e-10)
 
     def test_seed_determinism(self):
         a = random_density_matrix(3, 123)

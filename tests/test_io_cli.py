@@ -68,6 +68,28 @@ class TestFrameFiles:
         assert not isinstance(err.value, io.FrameFileError)
 
 
+BAD_SIZES = {"null": None, "list": [2], "string": "x", "float": 4.7, "bool": True}
+
+
+class TestFrameFileSizeFields:
+    """A size field that is not a JSON integer is unusable input, named on one line."""
+
+    @pytest.mark.parametrize("value", list(BAD_SIZES.values()), ids=list(BAD_SIZES))
+    @pytest.mark.parametrize("field", ["n", "d"])
+    @pytest.mark.parametrize("command", [["frame", "check"], ["kd"]], ids=["frame-check", "kd"])
+    def test_exit_two_naming_the_field(self, runner, tmp_path, command, field, value):
+        document = io.frame_to_dict(sic_qubit())
+        document[field] = value
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(document))
+        result = invoke(runner, command + [str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"Error: frame file field '{field}' must be an integer, got {json.dumps(value)}\n"
+        )
+
+
 class TestStateSpecs:
     def test_maximally_mixed(self):
         rho = io.resolve_state("maximally-mixed", sic_qubit())
@@ -324,14 +346,15 @@ class TestVerifyExtremalityCommand:
             ],
         )
         report = json.loads(result.stdout)
-        from kdframes.channels import extremal_unraveling, principal_kraus, unraveling_probabilities
+        from helpers import extremal_probabilities
+        from kdframes.channels import principal_kraus, unraveling_probabilities
         from kdframes.entropy import renyi_entropy
 
         frame = sic_qubit()
         ket = frame.vectors[0]
         rho = DensityMatrix(np.outer(ket, ket.conj()))
         u = principal_kraus(frame)
-        _, extremal_probs = extremal_unraveling(u, rho)
+        extremal_probs = extremal_probabilities(u, rho)
         expected = renyi_entropy(unraveling_probabilities(u, rho), 1.0) - renyi_entropy(
             extremal_probs, 1.0
         )
@@ -363,6 +386,21 @@ class TestVerifyExtremalityCommand:
         second = invoke(runner, args)
         assert first.stdout == second.stdout
 
+    @pytest.mark.parametrize(
+        "args,env,option",
+        [
+            (["--seed", "-1"], {}, "--seed"),
+            ([], {"KDF_SEED": "-1"}, "--seed"),
+            (["--samples", "0"], {}, "--samples"),
+        ],
+        ids=["seed-flag", "seed-env", "samples"],
+    )
+    def test_out_of_range_option_exit_two(self, runner, sic_file, args, env, option):
+        result = invoke(runner, ["verify-extremality", sic_file] + args, env=env)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"Invalid value for '{option}'" in result.stderr
+
     def test_env_seed_fallback_and_flag_override(self, runner, sic_file):
         args = ["verify-extremality", sic_file, "--samples", "5", "--format", "json"]
         via_env = invoke(runner, args, env={"KDF_SEED": "77"})
@@ -371,6 +409,13 @@ class TestVerifyExtremalityCommand:
         assert via_env.stdout == via_flag.stdout
         overridden = invoke(runner, args + ["--seed", "5"], env={"KDF_SEED": "77"})
         assert json.loads(overridden.output)["seed"] == 5
+
+
+@pytest.mark.parametrize("command", ["kd", "bounds", "verify-extremality"])
+def test_state_help_lists_the_four_forms(runner, command):
+    result = invoke(runner, [command, "--help"])
+    help_text = " ".join(result.stdout.split())
+    assert "maximally-mixed | frame-state:<j> | mixture:<w,...> | matrix:<path>" in help_text
 
 
 class TestReproduceCommand:

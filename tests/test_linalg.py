@@ -3,51 +3,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_complex_matrix, random_hermitian, rng_for
-from kdframes.channels import Unraveling, principal_kraus
+from kdframes.channels import Unraveling
 from kdframes.frames import DensityMatrix, Frame, Povm
 from kdframes.linalg import (
     as_complex_matrix,
     haar_unitary,
     hermitian_eig,
-    hs_inner,
     require_hermitian,
     schatten_norm,
     singular_values,
 )
 
 seeds = st.integers(0, 2**32 - 1)
-
-
-class TestHsInner:
-    def test_identity(self):
-        assert hs_inner(np.eye(2), np.eye(2)) == pytest.approx(2.0 + 0.0j)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            hs_inner(np.eye(2), np.eye(3))
-
-    def test_rejects_nan(self):
-        bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            hs_inner(bad, bad)
-
-    def test_sic_kraus_overlap(self, sic):
-        # <A_0 sqrt(rho), A_1 sqrt(rho)> for the pure frame state rho equals
-        # the (0, 1) Gram entry 1/6; sqrt(rho) = rho for a pure state.
-        kraus = principal_kraus(sic).kraus
-        ket = sic.vectors[0]
-        sqrt_rho = np.outer(ket, ket.conj())
-        value = hs_inner(kraus[0] @ sqrt_rho, kraus[1] @ sqrt_rho)
-        assert value == pytest.approx(1.0 / 6.0, abs=1e-12)
-
-    @settings(deadline=None)
-    @given(seed=seeds, rows=st.integers(1, 6), cols=st.integers(1, 6))
-    def test_self_inner_is_frobenius_squared(self, seed, rows, cols):
-        x = random_complex_matrix(rows, cols, rng_for(seed))
-        value = hs_inner(x, x)
-        assert abs(value.imag) <= 1e-12
-        assert value.real >= 0.0
-        assert value.real == pytest.approx(schatten_norm(x, 2) ** 2, rel=1e-10)
 
 
 class TestSchattenNorm:
