@@ -21,7 +21,7 @@ from kdframes.frames import (
     random_density_matrix,
     sic_qubit,
 )
-from kdframes.linalg import hermitian_eig
+from kdframes.linalg import hermitian_eigvals
 
 
 def scan(frame, name: str, states: int, seed: int) -> None:
@@ -32,7 +32,7 @@ def scan(frame, name: str, states: int, seed: int) -> None:
     for k in range(states):
         rho = random_density_matrix(frame.d, np.random.default_rng([seed, k]))
         gram = unraveling_gram(unraveling, rho)
-        true_max = hermitian_eig(gram).eigenvalues[0]
+        true_max = hermitian_eigvals(gram)[0]
         interval_bound = max_eig_upper_bound(gram)
         closed_bound = etf_spectral_bound(params, purity(rho))
         gershgorin_bound = gershgorin_union(gram).upper

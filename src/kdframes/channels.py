@@ -8,10 +8,16 @@ re-mixing; diagonalizing it produces the extremal unraveling, whose
 outcome distribution minimizes the usual entropy families over the
 unitary freedom.
 
-The Gram, Kirkwood-Dirac and probability contractions are each one
-batched product K @ rho followed by one product over the flattened
-operators, so a Gram or Kirkwood-Dirac matrix of m operators on C^d
-costs O(m d^3 + m^2 d^2).
+The Gram, Kirkwood-Dirac and probability contractions of a general
+unraveling are each one batched product K @ rho followed by one product
+over the flattened operators, so a Gram or Kirkwood-Dirac matrix of m
+operators on C^d costs O(m d^3 + m^2 d^2).
+
+The principal operators of a tight frame are rank one, so their Gram
+matrix has the closed form of ``frame_gram``: O(n^2 d + n d^2) time and
+O(n^2) memory for n vectors in C^d, with no (n, d, d) Kraus stack. The
+outcome distribution of the re-unraveling by an n-by-n unitary V is then
+diag(V^dag G V), one more O(n^3) product (``mixed_probabilities``).
 """
 
 from __future__ import annotations
@@ -79,6 +85,23 @@ def unraveling_gram(u: Unraveling, rho: DensityMatrix) -> np.ndarray:
     return u.kraus.conj().reshape(u.m, -1) @ (u.kraus @ rho.matrix).reshape(u.m, -1).T
 
 
+def frame_gram(f: Frame, rho: DensityMatrix) -> np.ndarray:
+    """Gram matrix of the principal unraveling of a tight frame, in closed form.
+
+    With A_j = sqrt(d/n) |phi_j><phi_j|, entry (i, j) is
+    (d/n) <phi_i|phi_j> <phi_j|rho|phi_i>, so G = (d/n) (F* F^T) o (F* rho F^T)^T
+    for the frame vectors F as rows. Equal to
+    ``unraveling_gram(principal_kraus(f), rho)``; like ``principal_kraus``
+    it rejects a frame that is not tight, whose sum A^dag A is not I.
+    """
+    v = f.vectors
+    scale = f.d / f.n
+    require_identity(scale * (v.T @ v.conj()), "sum A^dag A")
+    if f.d != rho.d:
+        raise ValueError(f"dimension mismatch: Kraus input C^{f.d}, state C^{rho.d}")
+    return scale * (v.conj() @ v.T) * (v.conj() @ rho.matrix @ v.T).T
+
+
 def kd_matrix(p: Povm, rho: DensityMatrix) -> np.ndarray:
     """Kirkwood-Dirac matrix of quasiprobabilities tr(E_i E_j rho).
 
@@ -93,6 +116,17 @@ def kd_matrix(p: Povm, rho: DensityMatrix) -> np.ndarray:
     return e.reshape(p.n, -1) @ (e @ rho.matrix).transpose(0, 2, 1).reshape(p.n, -1).T
 
 
+def _require_mixing(v, m: int) -> np.ndarray:
+    """A square unitary mixing matrix of size at least m, as a complex array."""
+    v = as_complex_matrix(v, "v")
+    if v.shape[0] != v.shape[1]:
+        raise ValueError(f"mixing matrix must be square, got {v.shape}")
+    if v.shape[0] < m:
+        raise ValueError(f"mixing matrix of size {v.shape[0]} cannot absorb {m} operators")
+    require_identity(v.conj().T @ v, "v^dag v")
+    return v
+
+
 def transform_unraveling(u: Unraveling, v) -> Unraveling:
     """Mix Kraus operators with a unitary: B_i = sum_j A_j v[j, i].
 
@@ -101,16 +135,10 @@ def transform_unraveling(u: Unraveling, v) -> Unraveling:
     slots show up as zero rows and columns of the Gram matrix. The channel
     itself is unchanged.
     """
-    v = as_complex_matrix(v, "v")
-    if v.shape[0] != v.shape[1]:
-        raise ValueError(f"mixing matrix must be square, got {v.shape}")
-    size = v.shape[0]
-    if size < u.m:
-        raise ValueError(f"mixing matrix of size {size} cannot absorb {u.m} operators")
-    require_identity(v.conj().T @ v, "v^dag v")
+    v = _require_mixing(v, u.m)
     # zero operators padded at the tail contribute nothing: only v[:m] enters
     mixed = v[: u.m].T @ u.kraus.reshape(u.m, -1)
-    return Unraveling(mixed.reshape(size, u.dout, u.din))
+    return Unraveling(mixed.reshape(v.shape[0], u.dout, u.din))
 
 
 def unraveling_probabilities(u: Unraveling, rho: DensityMatrix) -> np.ndarray:
@@ -119,3 +147,18 @@ def unraveling_probabilities(u: Unraveling, rho: DensityMatrix) -> np.ndarray:
         raise ValueError(f"dimension mismatch: Kraus input C^{u.din}, state C^{rho.d}")
     probs = np.einsum("jba,jba->j", u.kraus.conj(), u.kraus @ rho.matrix).real
     return clean_probabilities(probs)
+
+
+def mixed_probabilities(gram: np.ndarray, v) -> np.ndarray:
+    """Outcome distribution of the re-unraveling by ``v``, from the Gram matrix alone.
+
+    The Gram matrix of ``transform_unraveling(u, v)`` is v^dag G v, so its
+    diagonal, the column sums of conj(v) o (G v), equals
+    ``unraveling_probabilities(transform_unraveling(u, v), rho)`` for G the
+    Gram matrix of u at rho. ``v`` is checked as in ``transform_unraveling``
+    and may be larger than G (zero operators padded at the tail). The real
+    diagonal comes back unclamped; the entropies validate it.
+    """
+    m = gram.shape[0]
+    v = _require_mixing(v, m)[:m]
+    return (v.conj() * (gram @ v)).sum(axis=0).real

@@ -30,14 +30,8 @@ from .bounds import (
     renyi_uncertainty_bound,
     tsallis_uncertainty_bound,
 )
-from .channels import (
-    kd_matrix,
-    principal_kraus,
-    transform_unraveling,
-    unraveling_gram,
-    unraveling_probabilities,
-)
-from .entropy import index_of_coincidence, renyi_entropy, tsallis_entropy
+from .channels import frame_gram, kd_matrix, mixed_probabilities, principal_kraus, unraveling_gram
+from .entropy import clean_probabilities, index_of_coincidence, renyi_entropy, tsallis_entropy
 from .frames import (
     DensityMatrix,
     EtfParameters,
@@ -57,7 +51,7 @@ from .linalg import (
     STRUCTURAL_TOL,
     Tolerances,
     haar_unitary,
-    hermitian_eig,
+    hermitian_eigvals,
 )
 
 
@@ -230,6 +224,11 @@ def _require_tight(frame: Frame, tol: Tolerances) -> None:
         raise CheckFailure("frame is not tight, it induces no POVM")
 
 
+# Haar samples whose outcome distributions share one entropy evaluation per
+# order; bounds the memory of verify-extremality independently of --samples.
+_SAMPLE_BLOCK = 256
+
+
 def _relative_error(bound: float, true_max: float) -> float | None:
     return (bound - true_max) / true_max if true_max > 0 else None
 
@@ -299,8 +298,8 @@ def build_kd_report(
         "state": state_spec,
         "gram": io.complex_to_pairs(gram),
         "kd": io.complex_to_pairs(kd),
-        "gram_spectrum": _floats(hermitian_eig(gram).eigenvalues),
-        "kd_spectrum": _floats(hermitian_eig(kd).eigenvalues),
+        "gram_spectrum": _floats(hermitian_eigvals(gram)),
+        "kd_spectrum": _floats(hermitian_eigvals(kd)),
         "kd_vs_scaled_gram_residual": residual,
         "tolerances": tol.as_dict(),
         "passed": not failures,
@@ -320,12 +319,11 @@ def build_bounds_report(
     if frame.n < 2 or is_equiangular(frame, tol.numeric) is None:
         raise CheckFailure("closed-form bounds need an equiangular tight frame")
     params = EtfParameters.of_frame(frame)
-    unraveling = principal_kraus(frame)
-    gram = unraveling_gram(unraveling, rho)
-    spectrum = hermitian_eig(gram).eigenvalues
+    gram = frame_gram(frame, rho)
+    spectrum = hermitian_eigvals(gram)
     true_max = float(spectrum[0])
     state_purity = purity(rho)
-    probs = unraveling_probabilities(unraveling, rho)
+    probs = clean_probabilities(np.diagonal(gram).real)
     extremal = _clamp_zeros(spectrum, tol)
 
     ic = BoundReport.upper(
@@ -443,15 +441,15 @@ def build_extremality_report(
     """Monte Carlo over re-unravelings: minimum entropy slack vs. the extremal one.
 
     Sample i uses the deterministic generator seeded with (seed, i), so
-    reports are reproducible and independent of evaluation order. Renyi
-    slacks are only evaluated at orders where extremality is guaranteed
-    (alpha <= 1, alpha = 2 and alpha = inf).
+    reports are reproducible and independent of evaluation order. Its
+    outcome distribution is diag(V^dag G V) for the closed-form Gram matrix
+    G; the entropies of up to _SAMPLE_BLOCK samples are evaluated together.
+    Renyi slacks are only evaluated at orders where extremality is
+    guaranteed (alpha <= 1, alpha = 2 and alpha = inf).
     """
     _require_tight(frame, tol)
-    unraveling = principal_kraus(frame)
-    extremal_probs = _clamp_zeros(
-        hermitian_eig(unraveling_gram(unraveling, rho)).eigenvalues, tol
-    )
+    gram = frame_gram(frame, rho)
+    extremal_probs = _clamp_zeros(hermitian_eigvals(gram), tol)
     tsallis_alphas = [a for a in alphas if np.isfinite(a)]
     renyi_alphas = sorted({a for a in alphas if a <= 1.0 or a == 2.0} | {np.inf})
     base_tsallis = {a: tsallis_entropy(extremal_probs, a) for a in tsallis_alphas}
@@ -459,16 +457,20 @@ def build_extremality_report(
     min_tsallis = {a: np.inf for a in tsallis_alphas}
     min_renyi = {a: np.inf for a in renyi_alphas}
 
-    for i in range(samples):
+    def mixing(i: int) -> np.ndarray:
         if identity:
-            mix = np.eye(unraveling.m, dtype=complex)
-        else:
-            mix = haar_unitary(unraveling.m, np.random.default_rng([seed, i]))
-        probs = unraveling_probabilities(transform_unraveling(unraveling, mix), rho)
+            return np.eye(frame.n)
+        return haar_unitary(frame.n, np.random.default_rng([seed, i]))
+
+    for start in range(0, samples, _SAMPLE_BLOCK):
+        stop = min(start + _SAMPLE_BLOCK, samples)
+        block = np.array([mixed_probabilities(gram, mixing(i)) for i in range(start, stop)])
         for a in tsallis_alphas:
-            min_tsallis[a] = min(min_tsallis[a], tsallis_entropy(probs, a) - base_tsallis[a])
+            slack = float(np.min(tsallis_entropy(block, a))) - base_tsallis[a]
+            min_tsallis[a] = min(min_tsallis[a], slack)
         for a in renyi_alphas:
-            min_renyi[a] = min(min_renyi[a], renyi_entropy(probs, a) - base_renyi[a])
+            slack = float(np.min(renyi_entropy(block, a))) - base_renyi[a]
+            min_renyi[a] = min(min_renyi[a], slack)
 
     failures = [
         f"{family}:{_alpha_key(a)}"
@@ -560,7 +562,7 @@ def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> tuple[dict, list[s
     deviation = float(np.abs(gram_pure - expected_pure).max())
     add("pure-frame-state gram matrix", deviation <= tol.structural, max_deviation=deviation)
 
-    spectrum = hermitian_eig(gram_pure).eigenvalues
+    spectrum = hermitian_eigvals(gram_pure)
     target = np.array([2.0 / 3.0, 1.0 / 3.0, 0.0, 0.0])
     deviation = float(np.abs(spectrum - target).max())
     add(

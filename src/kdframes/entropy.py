@@ -1,7 +1,7 @@
 """Renyi and Tsallis entropies of discrete distributions.
 
 Conventions: natural logarithms throughout; 0 log 0 = 0 and 0^alpha = 0,
-with zero probabilities dropped from sums; orders within ALPHA_ONE_WINDOW
+so zero probabilities add nothing to sums; orders within ALPHA_ONE_WINDOW
 of 1 take the Shannon branch to avoid catastrophic cancellation in the
 (1 - alpha)^(-1) prefactor.
 """
@@ -24,22 +24,31 @@ def _check_alpha(alpha: float) -> float:
 
 
 def clean_probabilities(p) -> np.ndarray:
-    """Validate a probability vector, clamping rounded-zero negatives.
+    """Validate a probability vector, or each row of a stack of them (last
+    axis), clamping rounded-zero negatives.
 
     Entries below -STRUCTURAL_TOL, or a total off 1 by more than
-    NUMERIC_TOL, raise instead of being silently renormalized.
+    NUMERIC_TOL, raise instead of being silently renormalized; in a stack
+    the message gives the value of the first offending row.
     """
-    p = np.asarray(p, dtype=float).ravel()
-    if p.size == 0:
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    if p.shape[-1] == 0:
         raise ValueError("empty probability vector")
-    smallest = float(require_finite(p, "probability vector").min())
-    if smallest < -STRUCTURAL_TOL:
-        raise ValueError(f"negative probability {smallest:.3e}")
+    smallest = require_finite(p, "probability vector").min(axis=-1)
     p = np.where(p < 0.0, 0.0, p)
-    total = float(p.sum())
-    if abs(total - 1.0) > NUMERIC_TOL:
-        raise ValueError(f"probabilities must sum to 1, got {total!r}")
+    totals = p.sum(axis=-1)
+    bad = (smallest < -STRUCTURAL_TOL) | (np.abs(totals - 1.0) > NUMERIC_TOL)
+    if bad.any():
+        row = np.unravel_index(np.argmax(bad), bad.shape)
+        if smallest[row] < -STRUCTURAL_TOL:
+            raise ValueError(f"negative probability {float(smallest[row]):.3e}")
+        raise ValueError(f"probabilities must sum to 1, got {float(totals[row])!r}")
     return p
+
+
+def _value(x):
+    """A float for one distribution, the array of row values for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def alpha_log(xi: float, alpha: float) -> float:
@@ -55,39 +64,42 @@ def alpha_log(xi: float, alpha: float) -> float:
     return float((x ** (1.0 - a) - 1.0) / (1.0 - a))
 
 
-def _shannon(p: np.ndarray) -> float:
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+def _shannon(q: np.ndarray):
+    # 0 log 0 = 0: zero entries take log 1
+    return -(q * np.log(np.where(q > 0.0, q, 1.0))).sum(axis=-1)
 
 
-def renyi_entropy(p, alpha: float) -> float:
+def renyi_entropy(p, alpha: float):
     """Renyi entropy (1 - alpha)^(-1) ln sum_j p_j^alpha, in nats.
 
     alpha=1 is Shannon, alpha=2 the collision entropy -ln sum p^2 and
-    alpha=inf the min-entropy -ln max p.
+    alpha=inf the min-entropy -ln max p. A stack of distributions along the
+    last axis gives the array of their entropies, a single one a float.
     """
     a = _check_alpha(alpha)
     q = clean_probabilities(p)
-    nz = q[q > 0.0]
+    top = q.max(axis=-1, keepdims=True)
     if np.isinf(a):
-        return float(-np.log(nz.max()))
+        return _value(-np.log(top[..., 0]))
     if abs(a - 1.0) < ALPHA_ONE_WINDOW:
-        return _shannon(q)
+        return _value(_shannon(q))
     # max-normalized power sum keeps huge orders from underflowing to 0
-    top = nz.max()
-    return float((a * np.log(top) + np.log(np.sum((nz / top) ** a))) / (1.0 - a))
+    power_sum = np.sum((q / top) ** a, axis=-1)
+    return _value((a * np.log(top[..., 0]) + np.log(power_sum)) / (1.0 - a))
 
 
-def tsallis_entropy(p, alpha: float) -> float:
-    """Tsallis entropy (1 - alpha)^(-1) (sum_j p_j^alpha - 1); Shannon at alpha = 1."""
+def tsallis_entropy(p, alpha: float):
+    """Tsallis entropy (1 - alpha)^(-1) (sum_j p_j^alpha - 1); Shannon at alpha = 1.
+
+    Stacks reduce along the last axis, as in ``renyi_entropy``.
+    """
     a = _check_alpha(alpha)
     if np.isinf(a):
         raise ValueError("the Tsallis family is not defined at alpha = inf")
     q = clean_probabilities(p)
     if abs(a - 1.0) < ALPHA_ONE_WINDOW:
-        return _shannon(q)
-    nz = q[q > 0.0]
-    return float((np.sum(nz**a) - 1.0) / (1.0 - a))
+        return _value(_shannon(q))
+    return _value((np.sum(q**a, axis=-1) - 1.0) / (1.0 - a))
 
 
 def index_of_coincidence(p) -> float:

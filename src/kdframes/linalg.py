@@ -1,7 +1,8 @@
 """Dense complex matrix kernel.
 
-Schatten norms, Hermitian eigendecomposition, singular values and
-Haar-random unitaries used by the frame and channel layers.
+Schatten norms, Hermitian eigendecomposition (or eigenvalues alone),
+singular values and Haar-random unitaries used by the frame and channel
+layers.
 All functions are pure; randomness enters only through an explicit seed
 or ``numpy.random.Generator``, never through global state.
 """
@@ -128,6 +129,11 @@ def hermitian_eig(m) -> Spectrum:
         if abs(pivot) > 0.0:
             vecs[:, k] *= np.conj(pivot) / abs(pivot)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
+
+
+def hermitian_eigvals(m) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, sorted non-increasing, without eigenvectors."""
+    return np.linalg.eigvalsh(require_hermitian(m))[::-1]
 
 
 def haar_unitary(n: int, rng) -> np.ndarray:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import operator_sum, rng_for
+from helpers import operator_sum, paley_frame, rng_for
 from kdframes.channels import (
     Unraveling,
+    frame_gram,
     kd_matrix,
+    mixed_probabilities,
     principal_kraus,
     transform_unraveling,
     unraveling_gram,
@@ -15,6 +17,7 @@ from kdframes.frames import (
     DensityMatrix,
     Frame,
     Povm,
+    complement_etf,
     orthonormal_frame,
     outcome_probabilities,
     povm_from_frame,
@@ -304,6 +307,92 @@ class TestKdMatrix:
             residual = np.abs(kd_matrix(povm, rho) - scale * unraveling_gram(u, rho)).max()
             worst = max(worst, float(residual))
         assert worst > 1e-6
+
+
+# (p, whether to take the Naimark complement of the Paley frame)
+PALEY = [(7, False), (19, False), (43, False), (199, False), (19, True), (43, True)]
+STATES = ["maximally-mixed", "frame-state:0", "random"]
+
+
+@pytest.fixture(
+    scope="module",
+    params=PALEY,
+    ids=lambda case: f"paley{case[0]}" + ("-complement" if case[1] else ""),
+)
+def etf(request):
+    p, complement = request.param
+    return complement_etf(paley_frame(p)) if complement else paley_frame(p)
+
+
+def state_of(frame: Frame, spec: str) -> DensityMatrix:
+    if spec == "maximally-mixed":
+        return DensityMatrix(np.eye(frame.d) / frame.d)
+    if spec == "frame-state:0":
+        return pure_frame_state(frame, 0)
+    return random_density_matrix(frame.d, rng_for(frame.n))
+
+
+class TestGramPath:
+    """The rank-one closed forms against the general Kraus kernels."""
+
+    @pytest.mark.parametrize("spec", STATES)
+    def test_frame_gram_matches_unraveling_gram(self, etf, spec):
+        rho = state_of(etf, spec)
+        expected = unraveling_gram(principal_kraus(etf), rho)
+        assert np.abs(frame_gram(etf, rho) - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("spec", STATES)
+    def test_mixed_probabilities_match_transformed_unraveling(self, etf, spec):
+        rho = state_of(etf, spec)
+        u = principal_kraus(etf)
+        gram = frame_gram(etf, rho)
+        for seed in range(2):
+            v = haar_unitary(etf.n, rng_for(seed))
+            expected = unraveling_probabilities(transform_unraveling(u, v), rho)
+            assert np.abs(mixed_probabilities(gram, v) - expected).max() <= 1e-12
+
+    def test_mixed_probabilities_with_zero_padding(self, sic):
+        rho = random_density_matrix(2, rng_for(3))
+        v = haar_unitary(6, rng_for(4))
+        expected = unraveling_probabilities(transform_unraveling(principal_kraus(sic), v), rho)
+        got = mixed_probabilities(frame_gram(sic, rho), v)
+        assert got.shape == (6,)
+        assert np.abs(got - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=complex),
+            np.array([[1.0, 0.0], [0.0, 1.0], [np.sqrt(0.5), np.sqrt(0.5)]]),
+        ],
+        ids=["repeated-vector", "e0-e1-diagonal"],
+    )
+    def test_non_tight_frame_rejected_as_by_the_kraus_path(self, vectors):
+        frame = Frame(vectors)
+        message = "sum A\\^dag A must be the identity"
+        with pytest.raises(ValueError, match=message) as kraus_error:
+            principal_kraus(frame)
+        with pytest.raises(ValueError, match=message) as gram_error:
+            frame_gram(frame, DensityMatrix(np.eye(2) / 2))
+        assert str(gram_error.value) == str(kraus_error.value)
+
+    def test_dimension_mismatch_rejected(self, sic):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            frame_gram(sic, DensityMatrix(np.eye(3) / 3))
+
+    def test_non_unitary_mixing_rejected_as_by_transform(self, sic):
+        gram = frame_gram(sic, DensityMatrix(np.eye(2) / 2))
+        message = "v\\^dag v must be the identity"
+        with pytest.raises(ValueError, match=message) as transform_error:
+            transform_unraveling(principal_kraus(sic), np.ones((4, 4)))
+        with pytest.raises(ValueError, match=message) as gram_error:
+            mixed_probabilities(gram, np.ones((4, 4)))
+        assert str(gram_error.value) == str(transform_error.value)
+
+    def test_too_small_mixing_rejected(self, sic):
+        gram = frame_gram(sic, DensityMatrix(np.eye(2) / 2))
+        with pytest.raises(ValueError, match="cannot absorb 4 operators"):
+            mixed_probabilities(gram, np.eye(3))
 
 
 def kraus_and_state(shape: tuple[int, int, int]) -> tuple[np.ndarray, DensityMatrix]:

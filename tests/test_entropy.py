@@ -164,3 +164,99 @@ class TestCleaning:
                 tsallis_entropy(without, alpha)
             )
         assert renyi_entropy(with_zeros, 0.5) == pytest.approx(renyi_entropy(without, 0.5))
+
+
+def scalar_renyi(p, alpha: float) -> float:
+    """Written-out reference on the nonzero entries of one distribution."""
+    nz = np.asarray(p, dtype=float)
+    nz = nz[nz > 0.0]
+    if np.isinf(alpha):
+        return float(-np.log(nz.max()))
+    if abs(alpha - 1.0) < 1e-6:
+        return float(-(nz * np.log(nz)).sum())
+    top = nz.max()
+    return float((alpha * np.log(top) + np.log(np.sum((nz / top) ** alpha))) / (1.0 - alpha))
+
+
+def scalar_tsallis(p, alpha: float) -> float:
+    nz = np.asarray(p, dtype=float)
+    nz = nz[nz > 0.0]
+    if abs(alpha - 1.0) < 1e-6:
+        return float(-(nz * np.log(nz)).sum())
+    return float((np.sum(nz**alpha) - 1.0) / (1.0 - alpha))
+
+
+STACK_ORDERS = [0.5, 1.0, 1.0 + 1e-7, 1.0 - 1e-7, 2.0, 5.0, 50.0, np.inf]
+
+
+def distribution_stack() -> np.ndarray:
+    """Eight rows of twelve outcomes: random, with zeros, one-hot, uniform."""
+    rng = np.random.default_rng(11)
+    rows = [rng.dirichlet(np.ones(12)) for _ in range(4)]
+    sparse = rng.dirichlet(np.ones(5))
+    rows.append(np.concatenate([sparse, np.zeros(7)]))
+    rows.append(np.concatenate([np.zeros(7), sparse])[::-1])
+    rows.append(np.eye(12)[3])
+    rows.append(np.full(12, 1 / 12))
+    return np.array(rows)
+
+
+class TestStacks:
+    """A stack of distributions is reduced along its last axis, row by row."""
+
+    @pytest.mark.parametrize("alpha", STACK_ORDERS)
+    def test_renyi_rows_match_single_distributions(self, alpha):
+        stack = distribution_stack()
+        values = renyi_entropy(stack, alpha)
+        assert values.shape == (len(stack),)
+        for row, value in zip(stack, values):
+            assert abs(value - renyi_entropy(row, alpha)) <= 1e-14
+            assert abs(value - scalar_renyi(row, alpha)) <= 1e-14
+
+    @pytest.mark.parametrize("alpha", [a for a in STACK_ORDERS if np.isfinite(a)])
+    def test_tsallis_rows_match_single_distributions(self, alpha):
+        stack = distribution_stack()
+        values = tsallis_entropy(stack, alpha)
+        assert values.shape == (len(stack),)
+        for row, value in zip(stack, values):
+            assert abs(value - tsallis_entropy(row, alpha)) <= 1e-14
+            assert abs(value - scalar_tsallis(row, alpha)) <= 1e-14
+
+    def test_three_dimensional_stack(self):
+        stack = distribution_stack().reshape(2, 4, 12)
+        assert renyi_entropy(stack, 2.0).shape == (2, 4)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, np.inf])
+    def test_single_distribution_gives_a_float(self, alpha):
+        assert type(renyi_entropy([0.25, 0.75], alpha)) is float
+        if np.isfinite(alpha):
+            assert type(tsallis_entropy([0.25, 0.75], alpha)) is float
+
+    def test_rounded_negatives_clamped_per_row(self):
+        stack = np.array([[0.5, 0.5, 0.0], [1.0 + 5e-13, -5e-13, 0.0]])
+        assert clean_probabilities(stack)[1, 1] == 0.0
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ([1.0 + 1e-6, -1e-6, 0.0], "negative probability -1.000e-06"),
+            ([0.5, 0.4, 0.0], "probabilities must sum to 1, got 0.9"),
+            ([0.0, 0.0, 0.0], "probabilities must sum to 1, got 0.0"),
+            ([0.5, np.nan, 0.5], "probability vector contains non-finite entries"),
+            ([0.5, np.inf, 0.5], "probability vector contains non-finite entries"),
+        ],
+    )
+    def test_bad_row_rejected_with_the_single_distribution_message(self, bad_row, message):
+        with pytest.raises(ValueError) as single:
+            clean_probabilities(bad_row)
+        assert str(single.value) == message
+        stack = np.array([[0.2, 0.3, 0.5], bad_row, [1.0, 0.0, 0.0]])
+        for entropy in (renyi_entropy, tsallis_entropy):
+            with pytest.raises(ValueError) as stacked:
+                entropy(stack, 2.0)
+            assert str(stacked.value) == message
+
+    def test_first_bad_row_is_named(self):
+        stack = np.array([[0.5, 0.5], [0.5, 0.4], [0.3, 0.3]])
+        with pytest.raises(ValueError, match="got 0.9"):
+            clean_probabilities(stack)

@@ -9,10 +9,18 @@ wrong reshape or a d-dependent constant would show.
 import numpy as np
 import pytest
 
-from helpers import paley_frame
-from kdframes.channels import principal_kraus, unraveling_gram
+import kdframes.cli
+from helpers import extremal_probabilities, paley_frame
+from kdframes.channels import (
+    principal_kraus,
+    transform_unraveling,
+    unraveling_gram,
+    unraveling_probabilities,
+)
 from kdframes.cli import build_bounds_report, build_extremality_report, build_kd_report
+from kdframes.entropy import renyi_entropy, tsallis_entropy
 from kdframes.frames import DensityMatrix, complement_etf, random_density_matrix
+from kdframes.linalg import haar_unitary
 
 # (p, whether to take the Naimark complement of the Paley frame)
 FRAMES = [(19, False), (43, False), (19, True), (43, True)]
@@ -85,3 +93,49 @@ def test_extremality_report_passes(frame, spec):
     assert failures == [] and report["passed"]
     expected = np.linalg.eigvalsh(rank_one_gram(frame, rho))[::-1]
     assert np.abs(np.array(report["extremal_probabilities"]) - expected).max() <= 1e-12
+
+
+def general_path_min_slacks(frame, rho, samples, seed, alphas, identity) -> dict:
+    """Minimum entropy slacks written out on the general Kraus path: for each
+    sample, the re-unraveled Kraus stack, its outcome distribution and one
+    scalar entropy per order."""
+    u = principal_kraus(frame)
+    extremal = extremal_probabilities(u, rho)
+    orders = {
+        "tsallis": (tsallis_entropy, [a for a in alphas if np.isfinite(a)]),
+        "renyi": (renyi_entropy, sorted({a for a in alphas if a <= 1.0 or a == 2.0} | {np.inf})),
+    }
+    sampled = [
+        unraveling_probabilities(transform_unraveling(u, mixing), rho)
+        for mixing in (
+            np.eye(u.m) if identity else haar_unitary(u.m, np.random.default_rng([seed, i]))
+            for i in range(samples)
+        )
+    ]
+    slacks = {}
+    for family, (entropy, family_orders) in orders.items():
+        slacks[family] = {
+            a: min(entropy(probs, a) - entropy(extremal, a) for probs in sampled)
+            for a in family_orders
+        }
+    return slacks
+
+
+# 7 samples span three blocks of 3, the last one partial; a single sample
+# pins the generator of sample 0.
+@pytest.mark.parametrize("samples", [1, 7])
+@pytest.mark.parametrize("block", [None, 3], ids=["one-block", "blocks-of-3"])
+@pytest.mark.parametrize("identity", [False, True], ids=["haar", "identity"])
+@pytest.mark.parametrize("complement", [False, True], ids=["paley19", "paley19-complement"])
+def test_extremality_matches_the_general_path(monkeypatch, complement, identity, block, samples):
+    if block is not None:
+        monkeypatch.setattr(kdframes.cli, "_SAMPLE_BLOCK", block)
+    frame = complement_etf(paley_frame(19)) if complement else paley_frame(19)
+    rho = state_of(frame, "frame-state:0")
+    alphas = [0.5, 1.0, 2.0, 5.0]
+    report, _ = build_extremality_report(frame, rho, "frame-state:0", samples, 5, alphas, identity)
+    expected = general_path_min_slacks(frame, rho, samples, 5, alphas, identity)
+    for family, slacks in expected.items():
+        assert list(report[family]) == [format(a, "g") for a in slacks]
+        for a, slack in slacks.items():
+            assert abs(report[family][format(a, "g")]["min_slack"] - slack) <= 1e-12

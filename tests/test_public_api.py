@@ -25,6 +25,10 @@ PAPER_RESULTS = {
     "(test_acceptance criterion 8, test_bounds TestPureStateMargin)",
     "outcome_probabilities": "index-of-coincidence bound on POVM statistics "
     "(test_acceptance criterion 4, test_bounds TestIcUpperBound)",
+    "transform_unraveling": "unitary freedom of Kraus unravelings, the general reference "
+    "for frame_gram and mixed_probabilities (test_channels TestTransform, TestGramPath)",
+    "unraveling_probabilities": "outcome distribution of a Kraus unraveling, the general "
+    "reference for mixed_probabilities (test_channels TestProbabilities, TestGramPath)",
 }
 
 
