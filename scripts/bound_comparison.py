@@ -12,7 +12,7 @@ import argparse
 import numpy as np
 
 from kdframes.bounds import etf_spectral_bound, gershgorin_union, max_eig_upper_bound
-from kdframes.channels import principal_kraus, unraveling_gram
+from kdframes.channels import frame_gram
 from kdframes.frames import (
     EtfParameters,
     complement_etf,
@@ -26,12 +26,11 @@ from kdframes.linalg import hermitian_eigvals
 
 def scan(frame, name: str, states: int, seed: int) -> None:
     params = EtfParameters.of_frame(frame)
-    unraveling = principal_kraus(frame)
     print(f"\n{name} (n={frame.n}, d={frame.d}, c={params.coherence:.4f})")
     print(f"{'purity':>8} {'true max':>10} {'interval':>10} {'closed':>10} {'gershgorin':>11}  winner")
     for k in range(states):
         rho = random_density_matrix(frame.d, np.random.default_rng([seed, k]))
-        gram = unraveling_gram(unraveling, rho)
+        gram = frame_gram(frame, rho)
         true_max = hermitian_eigvals(gram)[0]
         interval_bound = max_eig_upper_bound(gram)
         closed_bound = etf_spectral_bound(params, purity(rho))

@@ -43,9 +43,10 @@ class Interval:
     def radius(self) -> float:
         return 0.5 * (self.upper - self.lower)
 
-    def slack(self, value: float) -> float:
-        """Distance from value to the nearer endpoint; negative outside."""
-        return min(value - self.lower, self.upper - value)
+    def slack(self, value: float | np.ndarray) -> float | np.ndarray:
+        """Distance from value to the nearer endpoint; negative outside.
+        Elementwise for an array of values."""
+        return np.minimum(value - self.lower, self.upper - value)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import clean_probabilities
-from .frames import DensityMatrix, Frame, Povm
+from .frames import DensityMatrix, Frame, Povm, frame_operator, gram_matrix
 from .linalg import as_complex_matrix, require_finite, require_identity
 
 
@@ -94,12 +94,12 @@ def frame_gram(f: Frame, rho: DensityMatrix) -> np.ndarray:
     ``unraveling_gram(principal_kraus(f), rho)``; like ``principal_kraus``
     it rejects a frame that is not tight, whose sum A^dag A is not I.
     """
-    v = f.vectors
     scale = f.d / f.n
-    require_identity(scale * (v.T @ v.conj()), "sum A^dag A")
+    require_identity(scale * frame_operator(f), "sum A^dag A")
     if f.d != rho.d:
         raise ValueError(f"dimension mismatch: Kraus input C^{f.d}, state C^{rho.d}")
-    return scale * (v.conj() @ v.T) * (v.conj() @ rho.matrix @ v.T).T
+    v = f.vectors
+    return scale * gram_matrix(f) * (v.conj() @ rho.matrix @ v.T).T
 
 
 def kd_matrix(p: Povm, rho: DensityMatrix) -> np.ndarray:

@@ -21,7 +21,6 @@ from . import io
 from .bounds import (
     BoundReport,
     etf_eigen_interval,
-    etf_spectral_bound,
     eigen_interval,
     gershgorin_disks,
     gershgorin_union,
@@ -59,10 +58,6 @@ class InputError(click.ClickException):
     """Unusable input (parse or schema failure): exit code 2."""
 
     exit_code = 2
-
-
-class CheckFailure(Exception):
-    """A named verification failed: exit code 1."""
 
 
 def report_options(f):
@@ -169,17 +164,26 @@ def _emit(report: dict, fmt: str | None) -> None:
         click.echo(_render_table(report), err=True)
 
 
+def _fail(label: str, message) -> None:
+    """Print ``<label>: <message>`` on stderr and exit 1."""
+    click.echo(f"{label}: {message}", err=True)
+    sys.exit(1)
+
+
+def _checked(call, *args, label: str = "check failed"):
+    """Call a function; a ValueError from it is a failed check or invariant (exit 1)."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        _fail(label, exc)
+
+
 def _finish(fmt: str | None, build, *args, label: str = "check failed") -> None:
     """Build and emit a report; exit 1 naming the failed checks or a guard's ValueError."""
-    try:
-        report, failures = build(*args)
-    except (CheckFailure, ValueError) as exc:
-        click.echo(f"{label}: {exc}", err=True)
-        sys.exit(1)
+    report, failures = _checked(build, *args, label=label)
     _emit(report, fmt)
     if failures:
-        click.echo(f"{label}: {', '.join(failures)}", err=True)
-        sys.exit(1)
+        _fail(label, ", ".join(failures))
 
 
 def _write_frame(f: Frame, output) -> None:
@@ -198,11 +202,7 @@ def _call_io(call, *args):
 
 
 def _load_frame(path) -> Frame:
-    try:
-        return _call_io(io.load_frame, path)
-    except ValueError as exc:
-        click.echo(f"invariant failure: {exc}", err=True)
-        sys.exit(1)
+    return _checked(_call_io, io.load_frame, path, label="invariant failure")
 
 
 def _parse_alphas(text: str) -> list[float]:
@@ -221,8 +221,11 @@ def _alpha_key(alpha: float) -> str:
 
 def _require_tight(frame: Frame, tol: Tolerances) -> None:
     if not is_tight(frame, tol.numeric):
-        raise CheckFailure("frame is not tight, it induces no POVM")
+        raise ValueError("frame is not tight, it induces no POVM")
 
+
+# Entropy family -> its entropy, for both the bounds and the extremality report.
+_ENTROPIES = {"renyi": renyi_entropy, "tsallis": tsallis_entropy}
 
 # Haar samples whose outcome distributions share one entropy evaluation per
 # order; bounds the memory of verify-extremality independently of --samples.
@@ -317,7 +320,7 @@ def build_bounds_report(
     """Eigenvalue-location and entropy bounds against achieved values."""
     _require_tight(frame, tol)
     if frame.n < 2 or is_equiangular(frame, tol.numeric) is None:
-        raise CheckFailure("closed-form bounds need an equiangular tight frame")
+        raise ValueError("closed-form bounds need an equiangular tight frame")
     params = EtfParameters.of_frame(frame)
     gram = frame_gram(frame, rho)
     spectrum = hermitian_eigvals(gram)
@@ -330,9 +333,9 @@ def build_bounds_report(
         ic_upper_bound(params, state_purity), index_of_coincidence(probs), tol.saturation
     )
 
+    # For PSD G the largest-eigenvalue bound is the interval's upper end.
     interval = eigen_interval(gram)
-    interval_slack = min(float(interval.slack(v)) for v in spectrum)
-    max_bound = max_eig_upper_bound(gram)
+    interval_slack = float(interval.slack(spectrum).min())
 
     disks = gershgorin_disks(gram)
     union = gershgorin_union(gram)
@@ -340,19 +343,18 @@ def build_bounds_report(
     # each eigenvalue's depth inside its best disk; the worst eigenvalue counts
     g_slack = float((radii - np.abs(spectrum[:, None] - centers)).max(axis=1).min())
 
+    # The ETF spectral bound is the closed-form interval's upper end.
     closed_interval = etf_eigen_interval(params, state_purity)
-    closed_slack = min(float(closed_interval.slack(v)) for v in spectrum)
-    spectral_bound = etf_spectral_bound(params, state_purity)
+    closed_slack = float(closed_interval.slack(spectrum).min())
 
-    # Entropy family -> (uncertainty bound, entropy, orders the bound covers).
+    # Entropy family -> (uncertainty bound, orders the bound covers).
     families = {
-        "renyi": (renyi_uncertainty_bound, renyi_entropy, lambda a: a >= 2.0),
-        "tsallis": (
-            tsallis_uncertainty_bound, tsallis_entropy, lambda a: np.isfinite(a) and a <= 2.0
-        ),
+        "renyi": (renyi_uncertainty_bound, lambda a: a >= 2.0),
+        "tsallis": (tsallis_uncertainty_bound, lambda a: np.isfinite(a) and a <= 2.0),
     }
     rows: dict = {family: [] for family in families}
-    for family, (bound_of, entropy, covers) in families.items():
+    for family, (bound_of, covers) in families.items():
+        entropy = _ENTROPIES[family]
         for alpha in filter(covers, alphas):
             achieved = entropy(probs, alpha)
             achieved_extremal = entropy(extremal, alpha)
@@ -378,8 +380,8 @@ def build_bounds_report(
         "eigen_interval": interval_slack >= -tol.numeric,
         "gershgorin": g_slack >= -tol.numeric,
         "closed_form_interval": closed_slack >= -tol.numeric,
-        "spectral_bound": spectral_bound - true_max >= -tol.numeric,
-        "max_eig_bound": max_bound - true_max >= -tol.numeric,
+        "spectral_bound": closed_interval.upper - true_max >= -tol.numeric,
+        "max_eig_bound": interval.upper - true_max >= -tol.numeric,
         "entropy_bounds": all(r["pass"] for r in rows["renyi"] + rows["tsallis"]),
     }
     failures = [name for name, ok in checks.items() if not ok]
@@ -400,7 +402,7 @@ def build_bounds_report(
             "lower": interval.lower,
             "upper": interval.upper,
             "containment_slack": interval_slack,
-            "max_eig_bound": max_bound,
+            "max_eig_bound": interval.upper,
             "relative_error_vs_max": _relative_error(interval.upper, true_max),
         },
         "gershgorin": {
@@ -417,7 +419,7 @@ def build_bounds_report(
             "lower": closed_interval.lower,
             "upper": closed_interval.upper,
             "containment_slack": closed_slack,
-            "spectral_bound": spectral_bound,
+            "spectral_bound": closed_interval.upper,
         },
         "renyi": rows["renyi"],
         "tsallis": rows["tsallis"],
@@ -450,12 +452,18 @@ def build_extremality_report(
     _require_tight(frame, tol)
     gram = frame_gram(frame, rho)
     extremal_probs = _clamp_zeros(hermitian_eigvals(gram), tol)
-    tsallis_alphas = [a for a in alphas if np.isfinite(a)]
-    renyi_alphas = sorted({a for a in alphas if a <= 1.0 or a == 2.0} | {np.inf})
-    base_tsallis = {a: tsallis_entropy(extremal_probs, a) for a in tsallis_alphas}
-    base_renyi = {a: renyi_entropy(extremal_probs, a) for a in renyi_alphas}
-    min_tsallis = {a: np.inf for a in tsallis_alphas}
-    min_renyi = {a: np.inf for a in renyi_alphas}
+    orders = {
+        "tsallis": [a for a in alphas if np.isfinite(a)],
+        "renyi": sorted({a for a in alphas if a <= 1.0 or a == 2.0} | {np.inf}),
+    }
+    # family -> order -> extremal entropy and least sampled slack above it
+    table = {
+        family: {
+            a: {"extremal": _ENTROPIES[family](extremal_probs, a), "min_slack": np.inf}
+            for a in family_orders
+        }
+        for family, family_orders in orders.items()
+    }
 
     def mixing(i: int) -> np.ndarray:
         if identity:
@@ -465,18 +473,16 @@ def build_extremality_report(
     for start in range(0, samples, _SAMPLE_BLOCK):
         stop = min(start + _SAMPLE_BLOCK, samples)
         block = np.array([mixed_probabilities(gram, mixing(i)) for i in range(start, stop)])
-        for a in tsallis_alphas:
-            slack = float(np.min(tsallis_entropy(block, a))) - base_tsallis[a]
-            min_tsallis[a] = min(min_tsallis[a], slack)
-        for a in renyi_alphas:
-            slack = float(np.min(renyi_entropy(block, a))) - base_renyi[a]
-            min_renyi[a] = min(min_renyi[a], slack)
+        for family, rows in table.items():
+            for a, row in rows.items():
+                slack = float(np.min(_ENTROPIES[family](block, a))) - row["extremal"]
+                row["min_slack"] = min(row["min_slack"], slack)
 
     failures = [
         f"{family}:{_alpha_key(a)}"
-        for family, slacks in (("tsallis", min_tsallis), ("renyi", min_renyi))
-        for a, slack in slacks.items()
-        if not slack >= -tol.numeric
+        for family, rows in table.items()
+        for a, row in rows.items()
+        if not row["min_slack"] >= -tol.numeric
     ]
     report = {
         "command": "verify-extremality",
@@ -487,13 +493,9 @@ def build_extremality_report(
         "seed": seed,
         "identity_mixing": identity,
         "extremal_probabilities": _floats(extremal_probs),
-        "tsallis": {
-            _alpha_key(a): {"extremal": base_tsallis[a], "min_slack": float(min_tsallis[a])}
-            for a in tsallis_alphas
-        },
-        "renyi": {
-            _alpha_key(a): {"extremal": base_renyi[a], "min_slack": float(min_renyi[a])}
-            for a in renyi_alphas
+        **{
+            family: {_alpha_key(a): row for a, row in rows.items()}
+            for family, rows in table.items()
         },
         "tolerances": tol.as_dict(),
         "passed": not failures,
@@ -507,7 +509,6 @@ def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> tuple[dict, list[s
     n, d = frame.n, frame.d
     params = EtfParameters.of_frame(frame)
     c = params.coherence
-    unraveling = principal_kraus(frame)
     checks: list[dict] = []
 
     def add(name: str, ok: bool, **info) -> None:
@@ -516,7 +517,7 @@ def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> tuple[dict, list[s
         checks.append(entry)
 
     rho_star = DensityMatrix(np.eye(d) / d)
-    gram_star = unraveling_gram(unraveling, rho_star)
+    gram_star = frame_gram(frame, rho_star)
     expected_star = ((1.0 - c) * np.eye(n) + c * np.ones((n, n))) / n
     deviation = float(np.abs(gram_star - expected_star).max())
     add("mixed-state gram matrix", deviation <= tol.structural, max_deviation=deviation)
@@ -545,7 +546,7 @@ def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> tuple[dict, list[s
 
     ket = frame.vectors[0]
     rho_pure = DensityMatrix(np.outer(ket, ket.conj()))
-    gram_pure = unraveling_gram(unraveling, rho_pure)
+    gram_pure = frame_gram(frame, rho_pure)
     s3 = 1.0 / np.sqrt(3.0)
     expected_pure = (
         np.array(
@@ -597,8 +598,8 @@ def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> tuple[dict, list[s
     )
 
     true_max = float(spectrum[0])
-    relative_new = (bound - true_max) / true_max
-    relative_gershgorin = (union.upper - true_max) / true_max
+    relative_new = _relative_error(bound, true_max)
+    relative_gershgorin = _relative_error(union.upper, true_max)
     add(
         "relative errors about 9.3% and 50%",
         abs(relative_new - 0.093) <= 1e-3 and abs(relative_gershgorin - 0.5) <= 1e-3,
@@ -662,13 +663,7 @@ def gen_sic2(output) -> None:
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
 def gen_complement(frame_file, output) -> None:
     """Write the complement ETF of an equiangular tight frame file."""
-    loaded = _load_frame(frame_file)
-    try:
-        result = complement_etf(loaded)
-    except ValueError as exc:
-        click.echo(f"check failed: {exc}", err=True)
-        sys.exit(1)
-    _write_frame(result, output)
+    _write_frame(_checked(complement_etf, _load_frame(frame_file)), output)
 
 
 @main.command("kd")

@@ -445,6 +445,13 @@ class TestReportTypes:
         with pytest.raises(ValueError):
             Interval(1.0, 0.0)
 
+    def test_interval_slack_elementwise(self):
+        interval = Interval(-0.5, 2.0)
+        values = np.array([-1.0, -0.5, 0.25, 1.5, 2.0, 3.0])
+        slacks = interval.slack(values)
+        assert slacks.shape == values.shape
+        assert slacks.tolist() == [interval.slack(float(v)) for v in values]
+
     def test_upper_bound_report(self):
         report = BoundReport.upper(1.0, 0.4)
         assert report.slack == pytest.approx(0.6)

@@ -207,8 +207,10 @@ class TestFrameGenCommands:
     def test_gen_complement_rejects_orthonormal(self, runner, tmp_path):
         path = tmp_path / "basis.json"
         io.dump_frame(orthonormal_frame(2), path)
-        result = runner.invoke(main, ["frame", "gen", "complement", str(path)])
+        result = invoke(runner, ["frame", "gen", "complement", str(path)])
         assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "check failed: an orthonormal basis has an empty complement\n"
 
 
 class TestKdCommand:
@@ -260,9 +262,12 @@ class TestKdCommand:
         document["vectors"][0][0][0] = 1.001
         path = tmp_path / "denormalized.json"
         path.write_text(json.dumps(document))
-        result = runner.invoke(main, ["kd", str(path)])
+        result = invoke(runner, ["kd", str(path)])
         assert result.exit_code == 1
-        assert "invariant failure" in result.stderr
+        assert result.stdout == ""
+        assert result.stderr == (
+            "invariant failure: frame vectors must be unit kets: max | ||v|| - 1 | = 1.000e-03\n"
+        )
 
 
 class TestBoundsCommand:
@@ -302,6 +307,17 @@ class TestBoundsCommand:
         result = invoke(runner, ["bounds", str(path)])
         assert result.exit_code == 1
         assert result.stderr == "check failed: closed-form bounds need an equiangular tight frame\n"
+
+    def test_non_psd_gram_is_a_named_check_failure(self, runner, sic_file, monkeypatch):
+        # Unit trace, Hermitian, non-negative diagonal, eigenvalue -1e-9: no
+        # validated state gives this, as G is a Schur product of PSD matrices.
+        h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+        planted = (h @ np.diag([0.5 + 1e-9, 0.5, 0.0, -1e-9]) @ h.T).astype(complex)
+        monkeypatch.setattr("kdframes.cli.frame_gram", lambda frame, rho: planted)
+        result = invoke(runner, ["bounds", sic_file])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "check failed: negative probability -1.000e-09\n"
 
 
 class TestVerifyExtremalityCommand:

@@ -78,6 +78,25 @@ def test_bounds_report_passes_every_check(frame, spec):
     assert abs(report["gershgorin"]["containment_slack"] - loop_slack) <= 1e-12
 
 
+@pytest.mark.parametrize("p", [19, 43])
+def test_bounds_report_diagonalizes_the_gram_matrix_once(monkeypatch, p):
+    frame = paley_frame(p)
+    rho = state_of(frame, "frame-state:0")
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m):
+        calls.append(m.shape)
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    report, _ = build_bounds_report(frame, rho, "frame-state:0", [0.5, 1.0, 2.0, 5.0, np.inf])
+    assert calls == [(frame.n, frame.n)]
+    assert report["eigen_interval"]["max_eig_bound"] == report["eigen_interval"]["upper"]
+    closed = report["closed_form_interval"]
+    assert closed["spectral_bound"] == closed["upper"]
+
+
 @pytest.mark.parametrize("spec", STATES)
 def test_kd_report_passes(frame, spec):
     rho = state_of(frame, spec)
