@@ -11,13 +11,13 @@ stderr is a terminal, and ``--format`` forces a single output. Exit codes:
 
 from __future__ import annotations
 
-import json
 import sys
 
 import click
 import numpy as np
 
 from . import io
+from ._jsontext import _json_text
 from .bounds import (
     BoundReport,
     etf_eigen_interval,
@@ -149,17 +149,11 @@ def _render_table(report: dict) -> str:
     return "\n".join(f"{key:<{width}}  {value}" for key, value in lines)
 
 
-def _json_default(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def _emit(report: dict, fmt: str | None) -> None:
     if fmt == "table":
         click.echo(_render_table(report))
         return
-    click.echo(json.dumps(report, indent=2, default=_json_default))
+    click.echo(_json_text(report))
     if fmt is None and sys.stderr.isatty():
         click.echo(_render_table(report), err=True)
 
@@ -190,7 +184,7 @@ def _write_frame(f: Frame, output) -> None:
     if output:
         _call_io(io.dump_frame, f, output)
     else:
-        click.echo(json.dumps(io.frame_to_dict(f), indent=2))
+        click.echo(_json_text(io.frame_to_dict(f)))
 
 
 def _call_io(call, *args):
@@ -212,11 +206,14 @@ def _parse_alphas(text: str) -> list[float]:
         raise InputError(f"malformed alpha list {text!r}") from None
     if not alphas or any(np.isnan(a) or a <= 0 for a in alphas):
         raise InputError(f"entropy orders must be positive, got {text!r}")
-    return alphas
+    # one report row per distinct order, in the order first given
+    return list(dict.fromkeys(alphas))
 
 
 def _alpha_key(alpha: float) -> str:
-    return format(alpha, "g")
+    """Short label of an order; ``repr`` where six digits would merge distinct orders."""
+    short = format(alpha, "g")
+    return short if float(short) == alpha else repr(alpha)
 
 
 def _require_tight(frame: Frame, tol: Tolerances) -> None:

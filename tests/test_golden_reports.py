@@ -2,7 +2,8 @@
 
 Each file under ``tests/golden/`` holds the arguments, exit code and JSON
 report of one command run. Keys (in order), strings, booleans and nulls
-must match exactly and every numeric leaf to 1e-12. After a deliberate
+must match exactly and every numeric leaf to 1e-12. The printed bytes are
+exactly the stdlib's ``json.dumps(report, indent=2)``. After a deliberate
 change of a report, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden_reports.py
@@ -16,7 +17,7 @@ from click.testing import CliRunner
 
 from helpers import paley_frame
 from kdframes import io
-from kdframes.cli import main
+from kdframes.cli import build_kd_report, main
 from kdframes.frames import complement_etf, sic_qubit
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -46,13 +47,17 @@ def golden_cases() -> dict[str, list[str]]:
     return cases
 
 
-def run_case(args: list[str], frame_dir: Path) -> dict:
+def invoke_case(args: list[str], frame_dir: Path):
     for name, build in FRAMES.items():
         path = frame_dir / f"{name}.json"
         if name in args and not path.exists():
             io.dump_frame(build(), path)
     argv = [str(frame_dir / f"{a}.json") if a in FRAMES else a for a in args]
-    result = CliRunner().invoke(main, argv + ["--format", "json"], catch_exceptions=False)
+    return CliRunner().invoke(main, argv + ["--format", "json"], catch_exceptions=False)
+
+
+def run_case(args: list[str], frame_dir: Path) -> dict:
+    result = invoke_case(args, frame_dir)
     return {"args": args, "exit_code": result.exit_code, "report": json.loads(result.stdout)}
 
 
@@ -83,6 +88,24 @@ def test_report_matches_golden(case, tmp_path):
     assert actual["args"] == golden["args"]
     assert actual["exit_code"] == golden["exit_code"]
     assert_same(actual["report"], golden["report"], "report")
+
+
+@pytest.mark.parametrize("case", sorted(golden_cases()))
+def test_report_bytes_are_the_stdlib_indent_2_dump(case, tmp_path):
+    stdout = invoke_case(golden_cases()[case], tmp_path).stdout
+    assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("p", [19, 43])
+def test_kd_bytes_are_the_stdlib_dump_of_the_report(p, tmp_path):
+    path = tmp_path / "paley.json"
+    io.dump_frame(paley_frame(p), path)
+    args = ["kd", str(path), "--format", "json"]
+    stdout = CliRunner().invoke(main, args, catch_exceptions=False).stdout
+    frame = io.load_frame(path)
+    rho = io.resolve_state("maximally-mixed", frame)
+    report, _ = build_kd_report(frame, rho, "maximally-mixed")
+    assert stdout == json.dumps(report, indent=2) + "\n"
 
 
 if __name__ == "__main__":

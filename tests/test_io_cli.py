@@ -301,6 +301,16 @@ class TestBoundsCommand:
         result = runner.invoke(main, ["bounds", sic_file, "--alphas", "2,-1"])
         assert result.exit_code == 2
 
+    def test_close_and_repeated_orders_get_one_row_each(self, runner, sic_file):
+        for alphas, expected in (
+            ("0.5,0.5000001", ["0.5", "0.5000001"]),
+            ("0.5,0.5000001,1,1", ["0.5", "0.5000001", "1"]),
+        ):
+            result = invoke(runner, ["bounds", sic_file, "--alphas", alphas, "--format", "json"])
+            rows = json.loads(result.stdout)["tsallis"]
+            assert [row["alpha"] for row in rows] == expected
+            assert rows[0]["achieved"] != rows[1]["achieved"]
+
     def test_one_vector_frame_exit_one(self, runner, tmp_path):
         path = tmp_path / "single.json"
         path.write_text(json.dumps({"d": 1, "n": 1, "vectors": [[[1, 0]]]}))
@@ -321,6 +331,18 @@ class TestBoundsCommand:
 
 
 class TestVerifyExtremalityCommand:
+    def test_close_and_repeated_orders_get_one_row_each(self, runner, sic_file):
+        for alphas, tsallis in (
+            ("0.5,0.5000001", ["0.5", "0.5000001"]),
+            ("0.5,0.5000001,1,1", ["0.5", "0.5000001", "1"]),
+        ):
+            args = ["verify-extremality", sic_file, "--alphas", alphas, "--samples", "20"]
+            report = json.loads(invoke(runner, args + ["--format", "json"]).stdout)
+            assert list(report["tsallis"]) == tsallis
+            assert list(report["renyi"]) == tsallis + ["inf"]
+            rows = report["tsallis"]
+            assert rows["0.5"]["extremal"] != rows["0.5000001"]["extremal"]
+
     def test_monte_carlo_slacks(self, runner, sic_file):
         result = invoke(
             runner,
