@@ -17,7 +17,8 @@ The principal operators of a tight frame are rank one, so their Gram
 matrix has the closed form of ``frame_gram``: O(n^2 d + n d^2) time and
 O(n^2) memory for n vectors in C^d, with no (n, d, d) Kraus stack. The
 outcome distribution of the re-unraveling by an n-by-n unitary V is then
-diag(V^dag G V), one more O(n^3) product (``mixed_probabilities``).
+diag(V^dag G V), one more O(n^3) product (``mixed_probabilities``, which
+also takes a stack of unitaries).
 """
 
 from __future__ import annotations
@@ -117,13 +118,14 @@ def kd_matrix(p: Povm, rho: DensityMatrix) -> np.ndarray:
 
 
 def _require_mixing(v, m: int) -> np.ndarray:
-    """A square unitary mixing matrix of size at least m, as a complex array."""
-    v = as_complex_matrix(v, "v")
-    if v.shape[0] != v.shape[1]:
+    """A square unitary mixing matrix of size at least m, or a (..., M, M)
+    stack of them checked in one pass, as a complex array."""
+    v = require_finite(np.asarray(v, dtype=complex), "v")
+    if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
         raise ValueError(f"mixing matrix must be square, got {v.shape}")
-    if v.shape[0] < m:
-        raise ValueError(f"mixing matrix of size {v.shape[0]} cannot absorb {m} operators")
-    require_identity(v.conj().T @ v, "v^dag v")
+    if v.shape[-1] < m:
+        raise ValueError(f"mixing matrix of size {v.shape[-1]} cannot absorb {m} operators")
+    require_identity(np.swapaxes(v.conj(), -1, -2) @ v, "v^dag v")
     return v
 
 
@@ -135,7 +137,7 @@ def transform_unraveling(u: Unraveling, v) -> Unraveling:
     slots show up as zero rows and columns of the Gram matrix. The channel
     itself is unchanged.
     """
-    v = _require_mixing(v, u.m)
+    v = _require_mixing(as_complex_matrix(v, "v"), u.m)
     # zero operators padded at the tail contribute nothing: only v[:m] enters
     mixed = v[: u.m].T @ u.kraus.reshape(u.m, -1)
     return Unraveling(mixed.reshape(v.shape[0], u.dout, u.din))
@@ -156,9 +158,11 @@ def mixed_probabilities(gram: np.ndarray, v) -> np.ndarray:
     diagonal, the column sums of conj(v) o (G v), equals
     ``unraveling_probabilities(transform_unraveling(u, v), rho)`` for G the
     Gram matrix of u at rho. ``v`` is checked as in ``transform_unraveling``
-    and may be larger than G (zero operators padded at the tail). The real
-    diagonal comes back unclamped; the entropies validate it.
+    and may be larger than G (zero operators padded at the tail). A (k, M, M)
+    stack of mixing matrices gets one unitarity check and gives (k, M) rows,
+    row i equal to ``mixed_probabilities(gram, v[i])``. The real diagonal
+    comes back unclamped; the entropies validate it.
     """
     m = gram.shape[0]
-    v = _require_mixing(v, m)[:m]
-    return (v.conj() * (gram @ v)).sum(axis=0).real
+    v = _require_mixing(v, m)[..., :m, :]
+    return (v.conj() * (gram @ v)).sum(axis=-2).real

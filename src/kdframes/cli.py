@@ -228,6 +228,11 @@ _ENTROPIES = {"renyi": renyi_entropy, "tsallis": tsallis_entropy}
 # order; bounds the memory of verify-extremality independently of --samples.
 _SAMPLE_BLOCK = 256
 
+# Bytes of complex128 in one stack of Haar unitaries drawn and mixed together:
+# a stack this small keeps the batched QR in cache. From n = 64 on a single
+# unitary exceeds it, and each stack holds one.
+_HAAR_CHUNK_BYTES = 1 << 16
+
 
 def _relative_error(bound: float, true_max: float) -> float | None:
     return (bound - true_max) / true_max if true_max > 0 else None
@@ -442,9 +447,10 @@ def build_extremality_report(
     Sample i uses the deterministic generator seeded with (seed, i), so
     reports are reproducible and independent of evaluation order. Its
     outcome distribution is diag(V^dag G V) for the closed-form Gram matrix
-    G; the entropies of up to _SAMPLE_BLOCK samples are evaluated together.
-    Renyi slacks are only evaluated at orders where extremality is
-    guaranteed (alpha <= 1, alpha = 2 and alpha = inf).
+    G. The unitaries V are drawn and mixed in stacks of at most
+    _HAAR_CHUNK_BYTES, and the entropies of up to _SAMPLE_BLOCK samples are
+    evaluated together. Renyi slacks are only evaluated at orders where
+    extremality is guaranteed (alpha <= 1, alpha = 2 and alpha = inf).
     """
     _require_tight(frame, tol)
     gram = frame_gram(frame, rho)
@@ -462,14 +468,23 @@ def build_extremality_report(
         for family, family_orders in orders.items()
     }
 
-    def mixing(i: int) -> np.ndarray:
+    n = frame.n
+    chunk = max(1, _HAAR_CHUNK_BYTES // (np.dtype(complex).itemsize * n * n))
+
+    def mixing(start: int, stop: int) -> np.ndarray:
+        """The (stop - start, n, n) stack of mixing matrices of those samples."""
         if identity:
-            return np.eye(frame.n)
-        return haar_unitary(frame.n, np.random.default_rng([seed, i]))
+            return np.broadcast_to(np.eye(n), (stop - start, n, n))
+        return haar_unitary(n, [np.random.default_rng([seed, i]) for i in range(start, stop)])
 
     for start in range(0, samples, _SAMPLE_BLOCK):
         stop = min(start + _SAMPLE_BLOCK, samples)
-        block = np.array([mixed_probabilities(gram, mixing(i)) for i in range(start, stop)])
+        block = np.concatenate(
+            [
+                mixed_probabilities(gram, mixing(i, min(i + chunk, stop)))
+                for i in range(start, stop, chunk)
+            ]
+        )
         for family, rows in table.items():
             for a, row in rows.items():
                 slack = float(np.min(_ENTROPIES[family](block, a))) - row["extremal"]

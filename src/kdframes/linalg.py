@@ -97,8 +97,9 @@ def require_psd(m: np.ndarray, name: str = "matrix") -> None:
 
 
 def require_identity(m: np.ndarray, name: str) -> None:
-    """Reject a square matrix more than NUMERIC_TOL from the identity in some entry."""
-    deviation = float(np.abs(m - np.eye(m.shape[0])).max())
+    """Reject a square matrix, or any member of a (..., k, k) stack, more than
+    NUMERIC_TOL from the identity in some entry."""
+    deviation = float(np.abs(m - np.eye(m.shape[-1])).max())
     if deviation > NUMERIC_TOL:
         raise ValueError(f"{name} must be the identity, max |{name} - I| = {deviation:.3e}")
 
@@ -137,19 +138,30 @@ def hermitian_eigvals(m) -> np.ndarray:
 
 
 def haar_unitary(n: int, rng) -> np.ndarray:
-    """Haar-distributed n-by-n unitary.
+    """Haar-distributed n-by-n unitary, or a (k, n, n) stack of k of them.
 
     QR-decomposes a complex Gaussian matrix and fixes the phases so the
     triangular factor has positive real diagonal, which makes the
     orthonormal factor exactly Haar. ``rng`` is an integer seed (or
-    anything ``numpy.random.default_rng`` accepts) or an existing
-    ``Generator``; a given seed always produces the same matrix.
+    anything ``numpy.random.default_rng`` accepts, such as ``[seed, i]``)
+    or an existing ``Generator``; a given seed always produces the same
+    matrix. A list of k Generators gives the stack whose slice i is
+    ``haar_unitary(n, rng[i])`` bit for bit, drawn with one QR call.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    z = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+    stacked = isinstance(rng, list) and all(isinstance(g, np.random.Generator) for g in rng)
+    if stacked and not rng:
+        raise ValueError("a stack of Haar unitaries needs at least one Generator")
+    # default_rng hands an existing Generator back unchanged
+    gens = rng if stacked else [np.random.default_rng(rng)]
+    # each Generator draws its real then its imaginary parts, as two (n, n) calls would
+    parts = np.empty((len(gens), 2, n, n))
+    for gen, out in zip(gens, parts):
+        gen.standard_normal(out=out)
+    z = parts[:, 0] + 1j * parts[:, 1]
     q, r = np.linalg.qr(z / np.sqrt(2.0))
-    phases = np.diagonal(r).copy()
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return q * phases
+    q *= phases[:, None, :]
+    return q if stacked else q[0]

@@ -359,6 +359,26 @@ class TestGramPath:
         assert got.shape == (6,)
         assert np.abs(got - expected).max() <= 1e-12
 
+    @pytest.mark.parametrize("padding", [0, 2], ids=["square", "zero-padded"])
+    def test_stacked_mixed_probabilities_match_row_by_row(self, etf, padding):
+        gram = frame_gram(etf, state_of(etf, "random"))
+        size = etf.n + padding
+        stack = haar_unitary(size, [rng_for(seed) for seed in range(3)])
+        got = mixed_probabilities(gram, stack)
+        assert got.shape == (3, size)
+        for row, v in zip(got, stack):
+            assert np.array_equal(row, mixed_probabilities(gram, v))
+
+    def test_stack_with_one_non_unitary_member_rejected(self, sic):
+        gram = frame_gram(sic, DensityMatrix(np.eye(2) / 2))
+        stack = np.array([np.eye(4), np.ones((4, 4)), np.eye(4)])
+        message = "v\\^dag v must be the identity"
+        with pytest.raises(ValueError, match=message) as stack_error:
+            mixed_probabilities(gram, stack)
+        with pytest.raises(ValueError, match=message) as single_error:
+            mixed_probabilities(gram, np.ones((4, 4)))
+        assert str(stack_error.value) == str(single_error.value)
+
     @pytest.mark.parametrize(
         "vectors",
         [

@@ -127,6 +127,42 @@ class TestHaarUnitary:
             haar_unitary(0, 1)
 
 
+def one_at_a_time_haar(n: int, gen: np.random.Generator) -> np.ndarray:
+    """The single-matrix draw written out: two (n, n) normal calls, one QR, one phase fix."""
+    z = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    phases = np.diagonal(r).copy()
+    phases /= np.abs(phases)
+    return q * phases
+
+
+class TestHaarStack:
+    @pytest.mark.parametrize("n", [1, 2, 19, 43])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_stack_is_bit_identical_to_single_draws(self, n, k):
+        stack = haar_unitary(n, [np.random.default_rng([7, i]) for i in range(k)])
+        assert stack.shape == (k, n, n)
+        for i in range(k):
+            assert np.array_equal(stack[i], haar_unitary(n, np.random.default_rng([7, i])))
+            assert np.array_equal(stack[i], one_at_a_time_haar(n, np.random.default_rng([7, i])))
+
+    @pytest.mark.parametrize("n", [1, 19])
+    def test_list_of_ints_is_one_seed(self, n):
+        u = haar_unitary(n, [7, 3])
+        assert u.shape == (n, n)
+        assert np.array_equal(u, one_at_a_time_haar(n, np.random.default_rng([7, 3])))
+
+    def test_generator_advances_as_two_single_calls(self):
+        stacked, single = np.random.default_rng(9), np.random.default_rng(9)
+        haar_unitary(4, [stacked])
+        one_at_a_time_haar(4, single)
+        assert stacked.standard_normal() == single.standard_normal()
+
+    def test_empty_generator_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one Generator"):
+            haar_unitary(3, [])
+
+
 def test_require_hermitian_tolerance():
     nearly = np.array([[1.0, 1e-13j], [0.0, 1.0]])
     require_hermitian(nearly)

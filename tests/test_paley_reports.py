@@ -140,16 +140,24 @@ def general_path_min_slacks(frame, rho, samples, seed, alphas, identity) -> dict
     return slacks
 
 
-# 7 samples span three blocks of 3, the last one partial; a single sample
-# pins the generator of sample 0.
+# 7 samples span three blocks of 3, the last one partial, and Haar stacks
+# of 2 straddle those blocks; a single sample pins the generator of sample 0.
 @pytest.mark.parametrize("samples", [1, 7])
-@pytest.mark.parametrize("block", [None, 3], ids=["one-block", "blocks-of-3"])
+@pytest.mark.parametrize(
+    "block, chunk",
+    [(None, None), (3, None), (3, 2)],
+    ids=["one-block", "blocks-of-3", "blocks-of-3-chunks-of-2"],
+)
 @pytest.mark.parametrize("identity", [False, True], ids=["haar", "identity"])
 @pytest.mark.parametrize("complement", [False, True], ids=["paley19", "paley19-complement"])
-def test_extremality_matches_the_general_path(monkeypatch, complement, identity, block, samples):
+def test_extremality_matches_the_general_path(
+    monkeypatch, complement, identity, block, chunk, samples
+):
+    frame = complement_etf(paley_frame(19)) if complement else paley_frame(19)
     if block is not None:
         monkeypatch.setattr(kdframes.cli, "_SAMPLE_BLOCK", block)
-    frame = complement_etf(paley_frame(19)) if complement else paley_frame(19)
+    if chunk is not None:
+        monkeypatch.setattr(kdframes.cli, "_HAAR_CHUNK_BYTES", chunk * 16 * frame.n**2)
     rho = state_of(frame, "frame-state:0")
     alphas = [0.5, 1.0, 2.0, 5.0]
     report, _ = build_extremality_report(frame, rho, "frame-state:0", samples, 5, alphas, identity)
@@ -158,3 +166,22 @@ def test_extremality_matches_the_general_path(monkeypatch, complement, identity,
         assert list(report[family]) == [format(a, "g") for a in slacks]
         for a, slack in slacks.items():
             assert abs(report[family][format(a, "g")]["min_slack"] - slack) <= 1e-12
+
+
+# Samples per Haar stack: at most 64 KB of complex128 at n = 19 and 43; from
+# n = 64 on one unitary alone exceeds 64 KB and each stack holds one.
+@pytest.mark.parametrize("p, per_stack", [(19, 11), (43, 2), (103, 1)])
+def test_haar_stacks_stay_within_64_kb(monkeypatch, p, per_stack):
+    frame = paley_frame(p)
+    stacks = []
+
+    def spy(n, rng):
+        stacks.append((n, len(rng)))
+        return haar_unitary(n, rng)
+
+    monkeypatch.setattr(kdframes.cli, "haar_unitary", spy)
+    samples = 12
+    build_extremality_report(frame, state_of(frame, "frame-state:0"), "s", samples, 3, [2.0])
+    assert sum(k for _, k in stacks) == samples
+    assert all(n == p and (k == 1 or 16 * n * n * k <= 65536) for n, k in stacks)
+    assert max(k for _, k in stacks) == per_stack
