@@ -1,4 +1,4 @@
-"""Kraus unravelings of a channel and their Gram / Kirkwood-Dirac matrices.
+"""Kraus unravelings of a channel and their Gram matrices.
 
 A channel rho -> sum_j A_j rho A_j^dagger has many Kraus representations
 ("unravelings") related by unitary mixing of the operators. The Gram
@@ -8,17 +8,17 @@ re-mixing; diagonalizing it produces the extremal unraveling, whose
 outcome distribution minimizes the usual entropy families over the
 unitary freedom.
 
-The Gram, Kirkwood-Dirac and probability contractions of a general
-unraveling are each one batched product K @ rho followed by one product
-over the flattened operators, so a Gram or Kirkwood-Dirac matrix of m
-operators on C^d costs O(m d^3 + m^2 d^2).
+The Gram matrix of a general unraveling (``unraveling_gram``) is one
+batched product K @ rho followed by one product over the flattened
+operators: O(m d^3 + m^2 d^2) for m operators on C^d.
 
 The principal operators of a tight frame are rank one, so their Gram
 matrix has the closed form of ``frame_gram``: O(n^2 d + n d^2) time and
 O(n^2) memory for n vectors in C^d, with no (n, d, d) Kraus stack. The
-outcome distribution of the re-unraveling by an n-by-n unitary V is then
-diag(V^dag G V), one more O(n^3) product (``mixed_probabilities``, which
-also takes a stack of unitaries).
+Kirkwood-Dirac matrix tr(E_i E_j rho) of the frame's POVM is (d/n) times
+that Gram matrix. The outcome distribution of the re-unraveling by an
+n-by-n unitary V is diag(V^dag G V), one more O(n^3) product
+(``mixed_probabilities``, which also takes a stack of unitaries).
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import clean_probabilities
-from .frames import DensityMatrix, Frame, Povm, frame_operator, gram_matrix
-from .linalg import as_complex_matrix, require_finite, require_identity
+from .frames import DensityMatrix, Frame, frame_operator, gram_matrix
+from .linalg import require_finite, require_identity
 
 
 @dataclass(frozen=True)
@@ -50,10 +49,6 @@ class Unraveling:
     @property
     def m(self) -> int:
         return self.kraus.shape[0]
-
-    @property
-    def dout(self) -> int:
-        return self.kraus.shape[1]
 
     @property
     def din(self) -> int:
@@ -103,66 +98,30 @@ def frame_gram(f: Frame, rho: DensityMatrix) -> np.ndarray:
     return scale * gram_matrix(f) * (v.conj() @ rho.matrix @ v.T).T
 
 
-def kd_matrix(p: Povm, rho: DensityMatrix) -> np.ndarray:
-    """Kirkwood-Dirac matrix of quasiprobabilities tr(E_i E_j rho).
-
-    Hermitian, with all entries summing to 1; individual entries may be
-    negative or complex. For the rank-one POVM of a tight frame it equals
-    (d/n) times the Gram matrix of the principal unraveling.
-    """
-    if p.d != rho.d:
-        raise ValueError(f"dimension mismatch: POVM on C^{p.d}, state on C^{rho.d}")
-    # tr(E_i B) is the flat dot product of E_i and B^T, with B = E_j rho
-    e = p.elements
-    return e.reshape(p.n, -1) @ (e @ rho.matrix).transpose(0, 2, 1).reshape(p.n, -1).T
-
-
 def _require_mixing(v, m: int) -> np.ndarray:
-    """A square unitary mixing matrix of size at least m, or a (..., M, M)
-    stack of them checked in one pass, as a complex array."""
+    """A unitary m-by-m mixing matrix, or a (..., m, m) stack of them checked
+    in one pass, as a complex array."""
     v = require_finite(np.asarray(v, dtype=complex), "v")
     if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
         raise ValueError(f"mixing matrix must be square, got {v.shape}")
-    if v.shape[-1] < m:
-        raise ValueError(f"mixing matrix of size {v.shape[-1]} cannot absorb {m} operators")
+    if v.shape[-1] != m:
+        raise ValueError(
+            f"mixing matrix must have size exactly {m}, one row per operator; got {v.shape[-1]}"
+        )
     require_identity(np.swapaxes(v.conj(), -1, -2) @ v, "v^dag v")
     return v
-
-
-def transform_unraveling(u: Unraveling, v) -> Unraveling:
-    """Mix Kraus operators with a unitary: B_i = sum_j A_j v[j, i].
-
-    ``v`` may be larger than the operator count, in which case the
-    unraveling is first padded with zero operators at the tail; padded
-    slots show up as zero rows and columns of the Gram matrix. The channel
-    itself is unchanged.
-    """
-    v = _require_mixing(as_complex_matrix(v, "v"), u.m)
-    # zero operators padded at the tail contribute nothing: only v[:m] enters
-    mixed = v[: u.m].T @ u.kraus.reshape(u.m, -1)
-    return Unraveling(mixed.reshape(v.shape[0], u.dout, u.din))
-
-
-def unraveling_probabilities(u: Unraveling, rho: DensityMatrix) -> np.ndarray:
-    """Outcome distribution tr(A_j^dagger A_j rho), the Gram diagonal."""
-    if u.din != rho.d:
-        raise ValueError(f"dimension mismatch: Kraus input C^{u.din}, state C^{rho.d}")
-    probs = np.einsum("jba,jba->j", u.kraus.conj(), u.kraus @ rho.matrix).real
-    return clean_probabilities(probs)
 
 
 def mixed_probabilities(gram: np.ndarray, v) -> np.ndarray:
     """Outcome distribution of the re-unraveling by ``v``, from the Gram matrix alone.
 
-    The Gram matrix of ``transform_unraveling(u, v)`` is v^dag G v, so its
-    diagonal, the column sums of conj(v) o (G v), equals
-    ``unraveling_probabilities(transform_unraveling(u, v), rho)`` for G the
-    Gram matrix of u at rho. ``v`` is checked as in ``transform_unraveling``
-    and may be larger than G (zero operators padded at the tail). A (k, M, M)
-    stack of mixing matrices gets one unitarity check and gives (k, M) rows,
-    row i equal to ``mixed_probabilities(gram, v[i])``. The real diagonal
-    comes back unclamped; the entropies validate it.
+    Mixing the operators by v, B_i = sum_j A_j v[j, i], turns the Gram
+    matrix G into v^dag G v, so the outcome distribution of the mixed
+    unraveling is its diagonal, the column sums of conj(v) o (G v). ``v``
+    must be unitary with one row per operator. A (k, m, m) stack of mixing
+    matrices gets one unitarity check and gives (k, m) rows, row i equal to
+    ``mixed_probabilities(gram, v[i])``. The real diagonal comes back
+    unclamped; the entropies validate it.
     """
-    m = gram.shape[0]
-    v = _require_mixing(v, m)[..., :m, :]
+    v = _require_mixing(v, gram.shape[0])
     return (v.conj() * (gram @ v)).sum(axis=-2).real

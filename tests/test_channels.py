@@ -6,24 +6,27 @@ from helpers import operator_sum, paley_frame, rng_for
 from kdframes.channels import (
     Unraveling,
     frame_gram,
-    kd_matrix,
     mixed_probabilities,
     principal_kraus,
-    transform_unraveling,
     unraveling_gram,
-    unraveling_probabilities,
 )
 from kdframes.frames import (
     DensityMatrix,
     Frame,
-    Povm,
     complement_etf,
     orthonormal_frame,
-    outcome_probabilities,
-    povm_from_frame,
     random_density_matrix,
 )
 from kdframes.linalg import haar_unitary, hermitian_eig
+from reference import (
+    Povm,
+    dout,
+    kd_matrix,
+    outcome_probabilities,
+    povm_from_frame,
+    transform_unraveling,
+    unraveling_probabilities,
+)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -62,7 +65,7 @@ class TestUnraveling:
 
     def test_identity_channel(self):
         u = Unraveling(np.eye(2)[None, :, :].astype(complex))
-        assert (u.m, u.dout, u.din) == (1, 2, 2)
+        assert (u.m, dout(u), u.din) == (1, 2, 2)
 
 
 class TestPrincipalKraus:
@@ -351,21 +354,11 @@ class TestGramPath:
             expected = unraveling_probabilities(transform_unraveling(u, v), rho)
             assert np.abs(mixed_probabilities(gram, v) - expected).max() <= 1e-12
 
-    def test_mixed_probabilities_with_zero_padding(self, sic):
-        rho = random_density_matrix(2, rng_for(3))
-        v = haar_unitary(6, rng_for(4))
-        expected = unraveling_probabilities(transform_unraveling(principal_kraus(sic), v), rho)
-        got = mixed_probabilities(frame_gram(sic, rho), v)
-        assert got.shape == (6,)
-        assert np.abs(got - expected).max() <= 1e-12
-
-    @pytest.mark.parametrize("padding", [0, 2], ids=["square", "zero-padded"])
-    def test_stacked_mixed_probabilities_match_row_by_row(self, etf, padding):
+    def test_stacked_mixed_probabilities_match_row_by_row(self, etf):
         gram = frame_gram(etf, state_of(etf, "random"))
-        size = etf.n + padding
-        stack = haar_unitary(size, [rng_for(seed) for seed in range(3)])
+        stack = haar_unitary(etf.n, [rng_for(seed) for seed in range(3)])
         got = mixed_probabilities(gram, stack)
-        assert got.shape == (3, size)
+        assert got.shape == (3, etf.n)
         for row, v in zip(got, stack):
             assert np.array_equal(row, mixed_probabilities(gram, v))
 
@@ -411,8 +404,14 @@ class TestGramPath:
 
     def test_too_small_mixing_rejected(self, sic):
         gram = frame_gram(sic, DensityMatrix(np.eye(2) / 2))
-        with pytest.raises(ValueError, match="cannot absorb 4 operators"):
+        with pytest.raises(ValueError, match="size exactly 4, one row per operator; got 3"):
             mixed_probabilities(gram, np.eye(3))
+
+    def test_larger_mixing_rejected(self, sic):
+        # a larger unitary would pad the unraveling with zero operators
+        gram = frame_gram(sic, DensityMatrix(np.eye(2) / 2))
+        with pytest.raises(ValueError, match="size exactly 4, one row per operator; got 6"):
+            mixed_probabilities(gram, haar_unitary(6, rng_for(4)))
 
 
 def kraus_and_state(shape: tuple[int, int, int]) -> tuple[np.ndarray, DensityMatrix]:

@@ -7,7 +7,6 @@ from kdframes.frames import (
     DensityMatrix,
     EtfParameters,
     Frame,
-    Povm,
     coherence_constant,
     complement_etf,
     frame_mixture,
@@ -15,13 +14,12 @@ from kdframes.frames import (
     is_equiangular,
     is_tight,
     orthonormal_frame,
-    outcome_probabilities,
-    povm_from_frame,
     purity,
     random_density_matrix,
     sic_qubit,
 )
 from kdframes.linalg import hermitian_eig
+from reference import Povm, outcome_probabilities, povm_from_frame
 
 seeds = st.integers(0, 2**32 - 1)
 

@@ -247,6 +247,25 @@ class TestKdCommand:
         assert json.loads(result.stdout)["passed"] is False
         assert result.stderr == "check failed: kd_vs_scaled_gram_residual\n"
 
+    @pytest.mark.parametrize("site", ["frame_gram", "unraveling_gram"])
+    def test_planted_gram_error_fails_the_residual(self, monkeypatch, runner, sic_file, site):
+        # an error of 1e-9 in one Hermitian off-diagonal pair of either computation
+        import kdframes.cli
+
+        computed = getattr(kdframes.cli, site)
+
+        def planted(*args):
+            gram = computed(*args).copy()
+            gram[0, 1] += 1e-9
+            gram[1, 0] += 1e-9
+            return gram
+
+        monkeypatch.setattr(kdframes.cli, site, planted)
+        result = invoke(runner, ["kd", sic_file, "--format", "json"])
+        assert result.exit_code == 1
+        assert json.loads(result.stdout)["passed"] is False
+        assert result.stderr == "check failed: kd_vs_scaled_gram_residual\n"
+
     def test_tolerance_flags_reach_report(self, runner, sic_file):
         result = invoke(runner, ["kd", sic_file, "--tol-numeric", "1e-9", "--format", "json"])
         assert result.exit_code == 0
@@ -385,7 +404,8 @@ class TestVerifyExtremalityCommand:
         )
         report = json.loads(result.stdout)
         from helpers import extremal_probabilities
-        from kdframes.channels import principal_kraus, unraveling_probabilities
+        from kdframes.channels import principal_kraus
+        from reference import unraveling_probabilities
         from kdframes.entropy import renyi_entropy
 
         frame = sic_qubit()

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import random_complex_matrix, random_hermitian, rng_for
 from kdframes.channels import Unraveling
-from kdframes.frames import DensityMatrix, Frame, Povm
+from kdframes.frames import DensityMatrix, Frame
 from kdframes.linalg import (
     as_complex_matrix,
     haar_unitary,
@@ -13,6 +13,7 @@ from kdframes.linalg import (
     schatten_norm,
     singular_values,
 )
+from reference import Povm
 
 seeds = st.integers(0, 2**32 - 1)
 

@@ -11,16 +11,13 @@ import pytest
 
 import kdframes.cli
 from helpers import extremal_probabilities, paley_frame
-from kdframes.channels import (
-    principal_kraus,
-    transform_unraveling,
-    unraveling_gram,
-    unraveling_probabilities,
-)
+from kdframes import io
+from kdframes.channels import principal_kraus, unraveling_gram
 from kdframes.cli import build_bounds_report, build_extremality_report, build_kd_report
 from kdframes.entropy import renyi_entropy, tsallis_entropy
 from kdframes.frames import DensityMatrix, complement_etf, random_density_matrix
 from kdframes.linalg import haar_unitary
+from reference import kd_matrix, povm_from_frame, transform_unraveling, unraveling_probabilities
 
 # (p, whether to take the Naimark complement of the Paley frame)
 FRAMES = [(19, False), (43, False), (19, True), (43, True)]
@@ -103,6 +100,32 @@ def test_kd_report_passes(frame, spec):
     report, failures = build_kd_report(frame, rho, spec)
     assert failures == [] and report["passed"]
     assert report["kd_vs_scaled_gram_residual"] <= 1e-12
+    # the KD matrix from its effect definition tr(E_i E_j rho)
+    expected = kd_matrix(povm_from_frame(frame), rho)
+    assert np.abs(io.pairs_to_complex(report["kd"]) - expected).max() <= 1e-12
+    expected_spectrum = np.linalg.eigvalsh(expected)[::-1]
+    assert np.abs(np.array(report["kd_spectrum"]) - expected_spectrum).max() <= 1e-12
+
+
+def test_kd_report_diagonalizes_once_and_builds_one_stack(monkeypatch, frame):
+    rho = state_of(frame, "frame-state:0")
+    calls, stacks = [], []
+    eigvalsh = np.linalg.eigvalsh
+    kraus = kdframes.cli.principal_kraus
+
+    def counted(m):
+        calls.append(m.shape)
+        return eigvalsh(m)
+
+    def spy(f):
+        stacks.append(f.n)
+        return kraus(f)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(kdframes.cli, "principal_kraus", spy)
+    build_kd_report(frame, rho, "frame-state:0")
+    assert calls == [(frame.n, frame.n)]
+    assert stacks == [frame.n]
 
 
 @pytest.mark.parametrize("spec", STATES)

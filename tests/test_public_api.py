@@ -6,10 +6,17 @@ some other top-level statement of the package (``__init__`` aside) or of
 ``scripts/`` names it. A public method or property counts as used only
 through attribute access, so that a local variable of the same name cannot
 hide it. The click commands are the entry points and need no caller.
+
+The reference computations of ``tests/reference.py`` are the tests' oracle
+and have no twin of the same name in the package.
 """
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
+
+import kdframes
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "kdframes"
@@ -23,12 +30,6 @@ PAPER_RESULTS = {
     "(test_acceptance criterion 7, test_bounds TestSingularInterval)",
     "pure_state_margin": "pure-state interval stays inside [0, 1) for n > d "
     "(test_acceptance criterion 8, test_bounds TestPureStateMargin)",
-    "outcome_probabilities": "index-of-coincidence bound on POVM statistics "
-    "(test_acceptance criterion 4, test_bounds TestIcUpperBound)",
-    "transform_unraveling": "unitary freedom of Kraus unravelings, the general reference "
-    "for frame_gram and mixed_probabilities (test_channels TestTransform, TestGramPath)",
-    "unraveling_probabilities": "outcome distribution of a Kraus unraveling, the general "
-    "reference for mixed_probabilities (test_channels TestProbabilities, TestGramPath)",
 }
 
 
@@ -114,3 +115,17 @@ def test_all_lists_exactly_the_imported_public_names():
     ]
     assert len(exported) == len(set(exported))
     assert set(exported) == imported
+
+
+def test_reference_oracle_has_no_twin_in_the_package():
+    reference = _parse(ROOT / "tests" / "reference.py")
+    defined = {
+        node.name
+        for node in reference.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    namespaces = [kdframes] + [
+        importlib.import_module(f"kdframes.{info.name}")
+        for info in pkgutil.iter_modules(kdframes.__path__)
+    ]
+    assert {name for name in defined for ns in namespaces if hasattr(ns, name)} == set()
