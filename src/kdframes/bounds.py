@@ -24,7 +24,6 @@ from .linalg import (
     as_complex_matrix,
     require_hermitian,
     require_psd,
-    singular_values,
 )
 
 
@@ -148,7 +147,7 @@ def eigen_interval(m) -> Interval:
 def singular_interval(x) -> Interval:
     """Interval containing every singular value, built from the trace norm
     and Frobenius norm, with n = min(rows, cols)."""
-    s = singular_values(x)
+    s = np.linalg.svd(as_complex_matrix(x, "x"), compute_uv=False)
     n = s.size
     trace_norm = float(s.sum())
     return _trace_interval(n, trace_norm, n * float(np.sum(s * s)) - trace_norm * trace_norm)

@@ -59,6 +59,20 @@ class InputError(click.ClickException):
     exit_code = 2
 
 
+def _tolerance(ctx, param, value: float) -> float:
+    # FloatRange(min=0) would let NaN through; `not value >= 0` rejects it too
+    if not value >= 0:
+        raise click.BadParameter(f"must be zero, positive or inf, got {value}", ctx, param)
+    return value
+
+
+_TOLERANCE_OPTIONS = [
+    ("--tol-structural", STRUCTURAL_TOL, "Absolute tolerance for structural identities."),
+    ("--tol-numeric", NUMERIC_TOL, "Tolerance for numerical comparisons and pass flags."),
+    ("--tol-saturation", SATURATION_TOL, "Tolerance below which a bound counts as saturated."),
+]
+
+
 def report_options(f):
     """Add --format and the --tol-* options; the command gets ``fmt`` and one ``tol``."""
 
@@ -73,27 +87,10 @@ def report_options(f):
         default=None,
         help="Force one output format instead of JSON plus terminal table.",
     )(command)
-    command = click.option(
-        "--tol-structural",
-        type=float,
-        default=STRUCTURAL_TOL,
-        show_default=True,
-        help="Absolute tolerance for structural identities.",
-    )(command)
-    command = click.option(
-        "--tol-numeric",
-        type=float,
-        default=NUMERIC_TOL,
-        show_default=True,
-        help="Tolerance for numerical comparisons and pass flags.",
-    )(command)
-    command = click.option(
-        "--tol-saturation",
-        type=float,
-        default=SATURATION_TOL,
-        show_default=True,
-        help="Tolerance below which a bound counts as saturated.",
-    )(command)
+    for flag, default, text in _TOLERANCE_OPTIONS:
+        command = click.option(
+            flag, type=float, default=default, show_default=True, callback=_tolerance, help=text
+        )(command)
     return command
 
 

@@ -20,10 +20,8 @@ from .linalg import (
     NUMERIC_TOL,
     STRUCTURAL_TOL,
     as_complex_matrix,
-    hermitian_eig,
     require_hermitian,
     require_psd,
-    schatten_norm,
 )
 
 
@@ -141,7 +139,7 @@ def gram_matrix(f: Frame) -> np.ndarray:
 def is_tight(f: Frame, tol: float = NUMERIC_TOL) -> bool:
     """Whether the frame operator equals (n/d) I within relative tolerance."""
     target = f.n / f.d
-    deviation = schatten_norm(frame_operator(f) - target * np.eye(f.d), 2)
+    deviation = np.linalg.norm(frame_operator(f) - target * np.eye(f.d))
     return deviation <= tol * target
 
 
@@ -191,9 +189,11 @@ def complement_etf(f: Frame) -> Frame:
     For a tight equiangular frame, I - (d/n) G with G the Gram matrix is a
     rank n - d projection. Factoring it through its unit-eigenvalue
     eigenvectors as L^dagger L with L of shape (n - d, n) and renormalizing
-    the columns of L to unit norm yields the complement vectors. Phases
-    follow the hermitian_eig convention; only basis-invariant properties
-    (tightness, equiangularity, parameters) are contractual.
+    the columns of L to unit norm yields the complement vectors. The unit
+    eigenspace is (n - d)-fold degenerate, so any orthonormal basis of it
+    may come back: the result is fixed only up to a unitary on C^(n - d),
+    and only unitary-invariant properties (tightness, equiangularity,
+    parameters, Gram moduli, reports) are contractual.
     """
     if f.n == f.d:
         raise ValueError("an orthonormal basis has an empty complement")
@@ -203,11 +203,11 @@ def complement_etf(f: Frame) -> Frame:
         raise ValueError("complement construction needs an equiangular frame")
     n, d = f.n, f.d
     projector = np.eye(n) - (d / n) * gram_matrix(f)
-    spec = hermitian_eig(projector)
-    k = n - d
-    if abs(spec.eigenvalues[k - 1] - 1.0) > NUMERIC_TOL or abs(spec.eigenvalues[k]) > NUMERIC_TOL:
+    values, vectors = np.linalg.eigh(projector)
+    if abs(values[d - 1]) > NUMERIC_TOL or abs(values[d] - 1.0) > NUMERIC_TOL:
         raise ValueError("complement projector is not a clean 0/1 projection")
-    rows = np.sqrt(n / k) * spec.eigenvectors[:, :k].conj()
+    k = n - d
+    rows = np.sqrt(n / k) * vectors[:, d:].conj()
     rows /= np.linalg.norm(rows, axis=1)[:, None]
     out = Frame(rows)
     if not is_tight(out) or is_equiangular(out) is None:

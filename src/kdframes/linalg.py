@@ -1,8 +1,7 @@
 """Dense complex matrix kernel.
 
-Schatten norms, Hermitian eigendecomposition (or eigenvalues alone),
-singular values and Haar-random unitaries used by the frame and channel
-layers.
+Input checks, the tolerance constants, Hermitian eigenvalues and
+Haar-random unitaries used by the frame, channel and report layers.
 All functions are pure; randomness enters only through an explicit seed
 or ``numpy.random.Generator``, never through global state.
 """
@@ -48,30 +47,6 @@ def as_complex_matrix(x, name: str = "matrix") -> np.ndarray:
     return require_finite(m, name)
 
 
-def singular_values(x) -> np.ndarray:
-    """Singular values of x, sorted non-increasing."""
-    return np.linalg.svd(as_complex_matrix(x, "x"), compute_uv=False)
-
-
-def schatten_norm(x, q: float) -> float:
-    """Schatten q-norm: the q-norm of the singular-value vector.
-
-    q=1 is the trace norm, q=2 the Frobenius norm, q=inf the spectral norm.
-    """
-    if not q >= 1:
-        raise ValueError(f"Schatten order must satisfy q >= 1, got {q}")
-    s = singular_values(x)
-    if s.size == 0:
-        return 0.0
-    if np.isinf(q):
-        return float(s[0])
-    if q == 1:
-        return float(s.sum())
-    if q == 2:
-        return float(np.sqrt(np.sum(s * s)))
-    return float(np.sum(s**q) ** (1.0 / q))
-
-
 def require_hermitian(m) -> np.ndarray:
     """Validate Hermiticity entrywise within STRUCTURAL_TOL and return the array."""
     m = as_complex_matrix(m, "matrix")
@@ -102,34 +77,6 @@ def require_identity(m: np.ndarray, name: str) -> None:
     deviation = float(np.abs(m - np.eye(m.shape[-1])).max())
     if deviation > NUMERIC_TOL:
         raise ValueError(f"{name} must be the identity, max |{name} - I| = {deviation:.3e}")
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Hermitian eigendecomposition with eigenvalues sorted non-increasing.
-
-    ``eigenvectors[:, k]`` is a unit eigenvector for ``eigenvalues[k]``; each
-    column phase is fixed so that its largest-modulus component is real and
-    positive, making outputs reproducible. Degenerate eigenvalues may come
-    with any orthonormal basis of their eigenspace, so compare spectra and
-    residuals, never individual columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(m) -> Spectrum:
-    """Diagonalize a Hermitian matrix; see :class:`Spectrum` for conventions."""
-    m = require_hermitian(m)
-    vals, vecs = np.linalg.eigh(m)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    for k in range(vecs.shape[1]):
-        pivot = vecs[np.abs(vecs[:, k]).argmax(), k]
-        if abs(pivot) > 0.0:
-            vecs[:, k] *= np.conj(pivot) / abs(pivot)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
 def hermitian_eigvals(m) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Shared generators for randomized tests."""
+"""Shared generators and report comparison for tests."""
 
 from __future__ import annotations
 
@@ -58,7 +58,32 @@ def extremal_probabilities(unraveling, rho) -> np.ndarray:
     """Outcome distribution of the Gram-diagonalizing unraveling: the Gram
     eigenvalues, with rounded zeros set to exactly zero as the reports do."""
     from kdframes.channels import unraveling_gram
-    from kdframes.linalg import STRUCTURAL_TOL, hermitian_eig
+    from kdframes.linalg import STRUCTURAL_TOL, hermitian_eigvals
 
-    spectrum = hermitian_eig(unraveling_gram(unraveling, rho)).eigenvalues
+    spectrum = hermitian_eigvals(unraveling_gram(unraveling, rho))
     return np.where(np.abs(spectrum) <= STRUCTURAL_TOL, 0.0, spectrum)
+
+
+TOL = 1e-12
+
+
+def assert_same(actual, expected, path: str) -> None:
+    """Same keys in the same order, same strings, booleans and nulls, and
+    every numeric leaf within TOL."""
+    if isinstance(expected, dict):
+        assert isinstance(actual, dict), f"{path}: expected an object"
+        assert list(actual) == list(expected), f"{path}: keys {list(actual)} != {list(expected)}"
+        for key, value in expected.items():
+            assert_same(actual[key], value, f"{path}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list), f"{path}: expected a list"
+        assert len(actual) == len(expected), f"{path}: length {len(actual)} != {len(expected)}"
+        for index, (a, e) in enumerate(zip(actual, expected)):
+            assert_same(a, e, f"{path}[{index}]")
+    elif isinstance(expected, (int, float)) and not isinstance(expected, bool):
+        assert isinstance(actual, (int, float)) and not isinstance(actual, bool), path
+        assert actual == expected or abs(actual - expected) <= TOL, (
+            f"{path}: {actual!r} != {expected!r}"
+        )
+    else:
+        assert actual == expected, f"{path}: {actual!r} != {expected!r}"

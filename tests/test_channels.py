@@ -17,7 +17,7 @@ from kdframes.frames import (
     orthonormal_frame,
     random_density_matrix,
 )
-from kdframes.linalg import haar_unitary, hermitian_eig
+from kdframes.linalg import haar_unitary, hermitian_eigvals
 from reference import (
     Povm,
     dout,
@@ -54,8 +54,10 @@ def pure_frame_state(frame: Frame, j: int) -> DensityMatrix:
 
 
 def extremal(u: Unraveling, rho: DensityMatrix) -> Unraveling:
-    """Re-unraveling of u by the unitary that diagonalizes its Gram matrix at rho."""
-    return transform_unraveling(u, hermitian_eig(unraveling_gram(u, rho)).eigenvectors)
+    """Re-unraveling of u by the unitary that diagonalizes its Gram matrix at rho,
+    outcomes ordered by non-increasing probability."""
+    _, vectors = np.linalg.eigh(unraveling_gram(u, rho))
+    return transform_unraveling(u, vectors[:, ::-1])
 
 
 class TestUnraveling:
@@ -137,12 +139,8 @@ class TestGram:
         # Hilbert-Schmidt product; sqrt(rho) from the eigendecomposition
         # with rounded-negative eigenvalues clamped at zero.
         rho = random_density_matrix(2, rng_for(seed))
-        spec = hermitian_eig(rho.matrix)
-        sqrt_rho = (
-            spec.eigenvectors
-            @ np.diag(np.sqrt(np.clip(spec.eigenvalues, 0.0, None)))
-            @ spec.eigenvectors.conj().T
-        )
+        values, vectors = np.linalg.eigh(rho.matrix)
+        sqrt_rho = vectors @ np.diag(np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
         kraus = principal_kraus(sic).kraus
         gram = unraveling_gram(principal_kraus(sic), rho)
         for i in range(4):
@@ -200,12 +198,12 @@ class TestTransform:
         rng = rng_for(seed)
         u = principal_kraus(sic)
         rho = random_density_matrix(2, rng)
-        before = hermitian_eig(unraveling_gram(u, rho)).eigenvalues
+        before = hermitian_eigvals(unraveling_gram(u, rho))
         # A larger mixing matrix also exercises the zero-padding path; the
         # nonzero spectrum must survive.
         size = int(rng.integers(4, 7))
         mixed = transform_unraveling(u, haar_unitary(size, rng))
-        after = hermitian_eig(unraveling_gram(mixed, rho)).eigenvalues
+        after = hermitian_eigvals(unraveling_gram(mixed, rho))
         assert after[:4] == pytest.approx(before, abs=1e-10)
         assert np.abs(after[4:]).max(initial=0.0) <= 1e-10
 
@@ -235,7 +233,7 @@ class TestExtremal:
         gram = unraveling_gram(extremal(u, rho), rho)
         off = gram - np.diag(np.diagonal(gram))
         assert np.abs(off).max() <= 1e-10
-        input_spectrum = hermitian_eig(unraveling_gram(u, rho)).eigenvalues
+        input_spectrum = hermitian_eigvals(unraveling_gram(u, rho))
         assert np.diagonal(gram).real == pytest.approx(input_spectrum, abs=1e-10)
 
 
@@ -259,11 +257,11 @@ class TestProbabilities:
         rng = rng_for(seed)
         u = principal_kraus(sic)
         rho = random_density_matrix(2, rng)
-        spectrum = hermitian_eig(unraveling_gram(u, rho))
+        values, vectors = np.linalg.eigh(unraveling_gram(u, rho))
         mixing = haar_unitary(4, rng)
         sampled = transform_unraveling(u, mixing)
-        w = mixing.conj().T @ spectrum.eigenvectors
-        expected = (np.abs(w) ** 2) @ spectrum.eigenvalues
+        w = mixing.conj().T @ vectors
+        expected = (np.abs(w) ** 2) @ values
         assert unraveling_probabilities(sampled, rho) == pytest.approx(expected, abs=1e-10)
 
 

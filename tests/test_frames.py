@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_unit_vector, rng_for
+from helpers import assert_same, paley_frame, random_unit_vector, rng_for
+from kdframes import io
+from kdframes.cli import build_bounds_report, build_extremality_report, build_kd_report
 from kdframes.frames import (
     DensityMatrix,
     EtfParameters,
@@ -11,6 +13,7 @@ from kdframes.frames import (
     complement_etf,
     frame_mixture,
     frame_operator,
+    gram_matrix,
     is_equiangular,
     is_tight,
     orthonormal_frame,
@@ -18,7 +21,7 @@ from kdframes.frames import (
     random_density_matrix,
     sic_qubit,
 )
-from kdframes.linalg import hermitian_eig
+from kdframes.linalg import haar_unitary, hermitian_eigvals
 from reference import Povm, outcome_probabilities, povm_from_frame
 
 seeds = st.integers(0, 2**32 - 1)
@@ -51,7 +54,7 @@ class TestFrameOperator:
         rng = rng_for(20)
         vectors = np.array([random_unit_vector(2, rng) for _ in range(3)])
         frame = Frame(vectors)
-        eigenvalues = hermitian_eig(frame_operator(frame)).eigenvalues
+        eigenvalues = hermitian_eigvals(frame_operator(frame))
         top, bottom = eigenvalues[0], eigenvalues[-1]
         samples = np.array(
             [
@@ -200,6 +203,15 @@ class TestSicQubit:
         assert off == pytest.approx(np.full(12, -1.0 / 3.0), abs=1e-12)
 
 
+def all_reports(frame: Frame, spec: str) -> list[dict]:
+    rho = io.resolve_state(spec, frame)
+    return [
+        build_kd_report(frame, rho, spec)[0],
+        build_bounds_report(frame, rho, spec, [0.5, 1.0, 2.0, 5.0, np.inf])[0],
+        build_extremality_report(frame, rho, spec, 20, 0, [0.5, 1.0, 2.0, 5.0])[0],
+    ]
+
+
 class TestComplement:
     def test_sic_complement_parameters(self, sic):
         comp = complement_etf(sic)
@@ -225,6 +237,24 @@ class TestComplement:
         assert is_equiangular(comp) == pytest.approx(
             coherence_constant(comp.n, comp.d), abs=1e-10
         )
+
+    @pytest.mark.parametrize("p", [None, 7, 19, 43], ids=["sic2", "paley7", "paley19", "paley43"])
+    def test_fixed_up_to_a_unitary(self, p):
+        """complement_etf may return any orthonormal basis of the unit eigenspace
+        of I - (d/n) G, so only unitary-invariant properties are its contract."""
+        frame = sic_qubit() if p is None else paley_frame(p)
+        n, d = frame.n, frame.d
+        k = n - d
+        comp = complement_etf(frame)
+        assert (comp.n, comp.d) == (n, k)
+        assert is_tight(comp)
+        assert is_equiangular(comp) == pytest.approx(coherence_constant(n, k), abs=1e-10)
+        target = (n / k) * np.abs(np.eye(n) - (d / n) * gram_matrix(frame))
+        assert np.abs(np.abs(gram_matrix(comp)) - target).max() <= 1e-10
+        rotated = Frame(comp.vectors @ haar_unitary(k, 5).T)
+        for spec in ("maximally-mixed", "frame-state:0"):
+            for got, want in zip(all_reports(rotated, spec), all_reports(comp, spec)):
+                assert_same(got, want, want["command"])
 
 
 class TestMixturesAndPurity:

@@ -15,13 +15,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from helpers import paley_frame
+from helpers import assert_same, paley_frame
 from kdframes import io
 from kdframes.cli import build_kd_report, main
 from kdframes.frames import complement_etf, sic_qubit
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-TOL = 1e-12
 STATES = ("maximally-mixed", "frame-state:0")
 
 
@@ -59,26 +58,6 @@ def invoke_case(args: list[str], frame_dir: Path):
 def run_case(args: list[str], frame_dir: Path) -> dict:
     result = invoke_case(args, frame_dir)
     return {"args": args, "exit_code": result.exit_code, "report": json.loads(result.stdout)}
-
-
-def assert_same(actual, expected, path: str) -> None:
-    if isinstance(expected, dict):
-        assert isinstance(actual, dict), f"{path}: expected an object"
-        assert list(actual) == list(expected), f"{path}: keys {list(actual)} != {list(expected)}"
-        for key, value in expected.items():
-            assert_same(actual[key], value, f"{path}.{key}")
-    elif isinstance(expected, list):
-        assert isinstance(actual, list), f"{path}: expected a list"
-        assert len(actual) == len(expected), f"{path}: length {len(actual)} != {len(expected)}"
-        for index, (a, e) in enumerate(zip(actual, expected)):
-            assert_same(a, e, f"{path}[{index}]")
-    elif isinstance(expected, (int, float)) and not isinstance(expected, bool):
-        assert isinstance(actual, (int, float)) and not isinstance(actual, bool), path
-        assert actual == expected or abs(actual - expected) <= TOL, (
-            f"{path}: {actual!r} != {expected!r}"
-        )
-    else:
-        assert actual == expected, f"{path}: {actual!r} != {expected!r}"
 
 
 @pytest.mark.parametrize("case", sorted(golden_cases()))

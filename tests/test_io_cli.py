@@ -157,21 +157,15 @@ class TestFrameCheckCommand:
         result = invoke(runner, ["frame", "check", str(path)])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("case", ["large-norm-vectors", "negative-numeric-tolerance"])
-    def test_frame_operator_asymmetry_does_not_abort_report(self, runner, tmp_path, case):
+    def test_frame_operator_asymmetry_does_not_abort_report(self, runner, tmp_path):
         # The frame operator is Hermitian by construction; its rounding
         # asymmetry (about 4e-6 here for norms near 1e5) is not a failure.
-        if case == "large-norm-vectors":
-            rng = np.random.default_rng(0)
-            vectors = 1e5 * (rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3)))
-            document = {"d": 3, "n": 9, "vectors": io.complex_to_pairs(vectors)}
-            flags = []
-        else:
-            document = io.frame_to_dict(sic_qubit())
-            flags = ["--tol-numeric", "-1"]
+        rng = np.random.default_rng(0)
+        vectors = 1e5 * (rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3)))
+        document = {"d": 3, "n": 9, "vectors": io.complex_to_pairs(vectors)}
         path = tmp_path / "frame.json"
         path.write_text(json.dumps(document))
-        result = invoke(runner, ["frame", "check", str(path), "--format", "json"] + flags)
+        result = invoke(runner, ["frame", "check", str(path), "--format", "json"])
         assert result.exit_code == 1
         report = json.loads(result.stdout)
         assert report["invariants"]["unit_norms"]["pass"] is False
@@ -240,12 +234,6 @@ class TestKdCommand:
         io.dump_frame(Frame(vectors), path)
         result = runner.invoke(main, ["kd", str(path)])
         assert result.exit_code == 1
-
-    def test_residual_failure_named_on_stderr(self, runner, sic_file):
-        result = invoke(runner, ["kd", sic_file, "--tol-structural", "-1", "--format", "json"])
-        assert result.exit_code == 1
-        assert json.loads(result.stdout)["passed"] is False
-        assert result.stderr == "check failed: kd_vs_scaled_gram_residual\n"
 
     @pytest.mark.parametrize("site", ["frame_gram", "unraveling_gram"])
     def test_planted_gram_error_fails_the_residual(self, monkeypatch, runner, sic_file, site):
@@ -494,16 +482,28 @@ class TestReproduceCommand:
         second = invoke(runner, ["reproduce", "qubit-sic", "--format", "json"])
         assert first.stdout == second.stdout
 
-    def test_failed_checks_named_on_stderr(self, runner):
-        result = invoke(runner, ["reproduce", "qubit-sic", "--tol-structural", "-1"])
-        assert result.exit_code == 1
-        names = [
+    def test_structural_tolerance_governs_six_checks(self):
+        # a negative tolerance fails every comparison that reads tol.structural
+        _, failures = build_qubit_sic_report(Tolerances(structural=-1.0))
+        assert failures == [
             "mixed-state gram matrix",
             "mixed-state gershgorin radius 1/4",
             "mixed-state squared Frobenius norm, two closed forms agree",
             "pure-frame-state gram matrix",
             "largest-eigenvalue bound (1 + sqrt(11/3))/4 below 0.729",
             "purity-based interval radius sqrt(11/3)/4",
+        ]
+
+    def test_failed_checks_named_on_stderr(self, runner):
+        # at tolerance 0 the four comparisons that are off by rounding fail;
+        # the two closed forms of the Frobenius norm and the purity radius agree exactly
+        result = invoke(runner, ["reproduce", "qubit-sic", "--tol-structural", "0"])
+        assert result.exit_code == 1
+        names = [
+            "mixed-state gram matrix",
+            "mixed-state gershgorin radius 1/4",
+            "pure-frame-state gram matrix",
+            "largest-eigenvalue bound (1 + sqrt(11/3))/4 below 0.729",
         ]
         assert result.stderr == f"check failed: {', '.join(names)}\n"
 
@@ -587,6 +587,22 @@ class TestToleranceSweep:
         result = invoke(runner, args)
         assert result.exit_code in (0, 1, 2)
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    @pytest.mark.parametrize("flag", ["--tol-numeric", "--tol-structural", "--tol-saturation"])
+    @pytest.mark.parametrize(
+        "command",
+        ["kd", "bounds", EXTREMALITY, "reproduce qubit-sic", "frame check"],
+        ids=["kd", "bounds", "verify-extremality", "reproduce-qubit-sic", "frame-check"],
+    )
+    def test_negative_or_nan_tolerance_is_unusable_input(
+        self, runner, sweep_files, command, flag, value
+    ):
+        frame = [] if command.startswith("reproduce") else [sweep_files["sic"]]
+        result = invoke(runner, command.split() + frame + [flag, value])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"Invalid value for '{flag}'" in result.stderr
 
     @pytest.mark.parametrize("case", GUARD_CASES, ids=" ".join)
     def test_library_guard_is_a_named_check_failure(self, runner, sweep_files, case):
