@@ -1,9 +1,12 @@
-"""JSON text of reports: exactly ``json.dumps(obj, indent=2)``, written faster.
+"""The package's one JSON writer: exactly ``json.dumps(obj, indent=2)``, written faster.
 
-The stdlib's indent encoder is pure Python and takes one generator step per
-token, which dominates printing the (n, n, 2) Gram and KD arrays. Here every
-rectangular array of finite floats is formatted in one ``float.__repr__``
-pass and joined level by level; all other values follow the stdlib rules.
+Reports and frame files, on stdout and on disk, are printed by ``_json_text``,
+and reports keep their numpy arrays until here. The stdlib's indent encoder
+is pure Python and takes one generator step per token, which dominates
+printing the (n, n, 2) Gram and KD arrays. Here every non-empty float64
+array of finite values is formatted in one ``float.__repr__`` pass and
+joined level by level along its shape; other arrays print as their
+``.tolist()``, and all other values follow the stdlib rules.
 The writer is its own module rather than part of ``cli.py``: a ``kdf``
 process run without a bytecode cache compiles ``cli.py`` from source, and
 these lines compiled there raised the peak RSS of each such run by about
@@ -13,16 +16,14 @@ these lines compiled there raised the peak RSS of each such run by about
 from __future__ import annotations
 
 import json
-import math
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 
 def _json_default(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -34,25 +35,18 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _float_array(node: list, level: int) -> str | None:
-    """Indent-2 JSON of a rectangular nest of lists of finite floats; None for other lists.
+def _float_array(a: np.ndarray, level: int) -> str | None:
+    """Indent-2 JSON of a non-empty float64 array of finite values; None for other arrays.
 
     Every float is formatted in one pass, then the rows are joined level by level.
     """
-    shape, leaves = [len(node)], node
-    while (kinds := set(map(type, leaves))) == {list}:
-        sizes = set(map(len, leaves))
-        if len(sizes) > 1 or 0 in sizes:
-            return None
-        shape.append(sizes.pop())
-        leaves = list(chain.from_iterable(leaves))
-    if kinds != {float} or not all(map(math.isfinite, leaves)):
+    if a.dtype != np.float64 or not a.size or not np.isfinite(a).all():
         return None
-    items = map(float.__repr__, leaves)
-    for depth in reversed(range(len(shape))):
+    items = map(float.__repr__, a.ravel().tolist())
+    for depth in reversed(range(a.ndim)):
         inner = "\n" + "  " * (level + depth + 1)
         wrap = ("[" + inner + "{}\n" + "  " * (level + depth) + "]").format
-        items = map(wrap, map(("," + inner).join, zip(*[iter(items)] * shape[depth])))
+        items = map(wrap, map(("," + inner).join, zip(*[iter(items)] * a.shape[depth])))
     return next(items)
 
 
@@ -61,9 +55,9 @@ def _json_text(obj, level: int = 0) -> str:
     if isinstance(obj, dict) and obj:
         items = (_json_key(k) + ": " + _json_text(v, level + 1) for k, v in obj.items())
     elif isinstance(obj, (list, tuple)) and obj:
-        if type(obj) is list and (text := _float_array(obj, level)) is not None:
-            return text
         items = (_json_text(x, level + 1) for x in obj)
+    elif isinstance(obj, np.ndarray) and (text := _float_array(obj, level)) is not None:
+        return text
     elif obj is None or isinstance(obj, (str, int, float, list, tuple, dict)):
         # scalars and empty containers print the same with or without indent
         return json.dumps(obj)

@@ -103,16 +103,6 @@ _state_option = click.option(
 )
 
 
-def _floats(values) -> list[float]:
-    return [float(v) for v in np.asarray(values).ravel()]
-
-
-def _numeric_leaves(node) -> bool:
-    if isinstance(node, (list, tuple)):
-        return bool(node) and all(_numeric_leaves(x) for x in node)
-    return isinstance(node, (int, float)) and not isinstance(node, bool)
-
-
 def _render_table(report: dict) -> str:
     lines: list[tuple[str, str]] = []
 
@@ -127,16 +117,14 @@ def _render_table(report: dict) -> str:
         if isinstance(node, dict):
             for key, value in node.items():
                 walk(value, path + [str(key)])
+        elif isinstance(node, np.ndarray) and node.ndim == 1:
+            body = ", ".join(format(float(x), ".8g") for x in node)
+            lines.append((".".join(path), f"[{body}]"))
+        elif isinstance(node, np.ndarray):
+            lines.append((".".join(path), f"<{len(node)}-row numeric array>"))
         elif isinstance(node, (list, tuple)):
-            flat = all(not isinstance(x, (list, tuple, dict)) for x in node)
-            if flat and _numeric_leaves(list(node)):
-                body = ", ".join(format(float(x), ".8g") for x in node)
-                lines.append((".".join(path), f"[{body}]"))
-            elif _numeric_leaves(list(node)):
-                lines.append((".".join(path), f"<{len(node)}-row numeric array>"))
-            else:
-                for index, value in enumerate(node):
-                    walk(value, path + [str(index)])
+            for index, value in enumerate(node):
+                walk(value, path + [str(index)])
         else:
             lines.append((".".join(path), scalar(node)))
 
@@ -274,10 +262,12 @@ def build_frame_check_report(
                 "equiangular": measured_c is not None,
                 "measured_c": measured_c,
                 "expected_c": coherence_constant(n, d),
-                "frame_operator_spectrum": _floats(spectrum),
+                "frame_operator_spectrum": spectrum,
             }
         )
     failures = [name for name, entry in invariants.items() if not entry["pass"]]
+    if not report.get("tight", True):
+        failures.append("tight")
     report["passed"] = not failures
     return report, failures
 
@@ -307,8 +297,8 @@ def build_kd_report(
         "state": state_spec,
         "gram": io.complex_to_pairs(gram),
         "kd": io.complex_to_pairs(kd),
-        "gram_spectrum": _floats(spectrum),
-        "kd_spectrum": _floats(scale * spectrum),
+        "gram_spectrum": spectrum,
+        "kd_spectrum": scale * spectrum,
         "kd_vs_scaled_gram_residual": residual,
         "tolerances": tol.as_dict(),
         "passed": not failures,
@@ -397,7 +387,7 @@ def build_bounds_report(
         "d": frame.d,
         "state": state_spec,
         "purity": state_purity,
-        "true_spectrum": _floats(spectrum),
+        "true_spectrum": spectrum,
         "index_of_coincidence": {
             "achieved": ic.achieved_value,
             "bound": ic.bound_value,
@@ -413,7 +403,7 @@ def build_bounds_report(
         },
         "gershgorin": {
             "disks": [
-                {"center": [center.real, center.imag], "radius": radius}
+                {"center": np.array([center.real, center.imag]), "radius": radius}
                 for center, radius in disks
             ],
             "union_lower": union.lower,
@@ -508,7 +498,7 @@ def build_extremality_report(
         "samples": samples,
         "seed": seed,
         "identity_mixing": identity,
-        "extremal_probabilities": _floats(extremal_probs),
+        "extremal_probabilities": extremal_probs,
         **{
             family: {_alpha_key(a): row for a, row in rows.items()}
             for family, rows in table.items()
@@ -585,7 +575,7 @@ def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> tuple[dict, list[s
     add(
         "pure-frame-state spectrum (2/3, 1/3, 0, 0)",
         deviation <= tol.numeric,
-        eigenvalues=_floats(spectrum),
+        eigenvalues=spectrum,
         max_deviation=deviation,
     )
 

@@ -1,8 +1,10 @@
 """JSON serialization of frames, states and complex matrices.
 
-Complex scalars are stored as two-element [re, im] arrays. Floats are
-emitted in Python's shortest round-trip decimal form (at most 17
-significant digits), so write -> read -> write is bit-stable.
+Complex scalars are stored as two-element [re, im] arrays, held in memory as
+a real array with a trailing axis of length 2. Frame files are written by
+``_jsontext``, the package's one JSON writer. Floats are emitted in Python's
+shortest round-trip decimal form (at most 17 significant digits), so
+write -> read -> write is bit-stable.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._jsontext import _json_text
 from .frames import DensityMatrix, Frame, frame_mixture
 from .linalg import NUMERIC_TOL
 
@@ -20,10 +23,10 @@ class FrameFileError(ValueError):
     """The file cannot be read or written, or its document cannot be interpreted."""
 
 
-def complex_to_pairs(m) -> list:
-    """Nested lists with every complex scalar expanded to [re, im]."""
+def complex_to_pairs(m) -> np.ndarray:
+    """The real (..., 2) array with every complex scalar expanded to [re, im]."""
     m = np.asarray(m, dtype=complex)
-    return np.stack([m.real, m.imag], axis=-1).tolist()
+    return np.stack([m.real, m.imag], axis=-1)
 
 
 def pairs_to_complex(data, name: str = "array") -> np.ndarray:
@@ -90,7 +93,7 @@ def load_frame(path) -> Frame:
 
 def dump_frame(f: Frame, path) -> None:
     try:
-        Path(path).write_text(json.dumps(frame_to_dict(f), indent=2) + "\n")
+        Path(path).write_text(_json_text(frame_to_dict(f)) + "\n")
     except OSError as exc:
         raise FrameFileError(f"cannot write {path}: {exc}") from None
 

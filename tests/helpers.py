@@ -69,8 +69,14 @@ TOL = 1e-12
 
 def assert_same(actual, expected, path: str) -> None:
     """Same keys in the same order, same strings, booleans and nulls, and
-    every numeric leaf within TOL."""
-    if isinstance(expected, dict):
+    every numeric leaf within TOL; arrays of the same shape with every
+    element within TOL."""
+    if isinstance(expected, np.ndarray):
+        assert isinstance(actual, np.ndarray), f"{path}: expected an array"
+        assert actual.shape == expected.shape, f"{path}: shape {actual.shape} != {expected.shape}"
+        close = np.isclose(actual, expected, rtol=0.0, atol=TOL)
+        assert close.all(), f"{path}: {actual[~close]!r} != {expected[~close]!r}"
+    elif isinstance(expected, dict):
         assert isinstance(actual, dict), f"{path}: expected an object"
         assert list(actual) == list(expected), f"{path}: keys {list(actual)} != {list(expected)}"
         for key, value in expected.items():

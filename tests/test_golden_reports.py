@@ -17,6 +17,7 @@ from click.testing import CliRunner
 
 from helpers import assert_same, paley_frame
 from kdframes import io
+from kdframes._jsontext import _json_default
 from kdframes.cli import build_kd_report, main
 from kdframes.frames import complement_etf, sic_qubit
 
@@ -84,7 +85,7 @@ def test_kd_bytes_are_the_stdlib_dump_of_the_report(p, tmp_path):
     frame = io.load_frame(path)
     rho = io.resolve_state("maximally-mixed", frame)
     report, _ = build_kd_report(frame, rho, "maximally-mixed")
-    assert stdout == json.dumps(report, indent=2) + "\n"
+    assert stdout == json.dumps(report, indent=2, default=_json_default) + "\n"
 
 
 if __name__ == "__main__":

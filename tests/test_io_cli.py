@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from kdframes import io
+from kdframes._jsontext import _json_default
 from kdframes.cli import build_qubit_sic_report, main
 from kdframes.frames import DensityMatrix, Frame, orthonormal_frame, purity, sic_qubit
 from kdframes.linalg import Tolerances
@@ -54,7 +55,7 @@ class TestFrameFiles:
         document = io.frame_to_dict(sic_qubit())
         document["n"] = 5
         path = tmp_path / "frame.json"
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(document, default=_json_default))
         with pytest.raises(io.FrameFileError):
             io.load_frame(path)
 
@@ -62,7 +63,7 @@ class TestFrameFiles:
         document = io.frame_to_dict(sic_qubit())
         document["vectors"][1][0][0] += 1e-3
         path = tmp_path / "frame.json"
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(document, default=_json_default))
         with pytest.raises(ValueError) as err:
             io.load_frame(path)
         assert not isinstance(err.value, io.FrameFileError)
@@ -81,7 +82,7 @@ class TestFrameFileSizeFields:
         document = io.frame_to_dict(sic_qubit())
         document[field] = value
         path = tmp_path / "frame.json"
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(document, default=_json_default))
         result = invoke(runner, command + [str(path)])
         assert result.exit_code == 2
         assert result.stdout == ""
@@ -108,7 +109,7 @@ class TestStateSpecs:
 
     def test_matrix_file(self, tmp_path):
         path = tmp_path / "state.json"
-        path.write_text(json.dumps(io.complex_to_pairs(np.diag([0.75, 0.25]))))
+        path.write_text(json.dumps(io.complex_to_pairs(np.diag([0.75, 0.25])).tolist()))
         rho = io.resolve_state(f"matrix:{path}", sic_qubit())
         assert purity(rho) == pytest.approx(5.0 / 8.0)
 
@@ -143,13 +144,23 @@ class TestFrameCheckCommand:
         document = io.frame_to_dict(sic_qubit())
         document["vectors"][1][0][0] += 1e-3
         path = tmp_path / "perturbed.json"
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(document, default=_json_default))
         result = invoke(runner, ["frame", "check", str(path), "--format", "json"])
         assert result.exit_code == 1
         report = json.loads(result.stdout)
         assert report["invariants"]["unit_norms"]["pass"] is False
         assert report["tight"] is False
-        assert result.stderr == "invariant failure: unit_norms\n"
+        assert result.stderr == "invariant failure: unit_norms, tight\n"
+
+    def test_non_tight_frame_fails_invariant_but_reports(self, runner, tmp_path):
+        path = tmp_path / "loose.json"
+        io.dump_frame(Frame(np.array([[1, 0], [1, 0], [0, 1]], dtype=complex)), path)
+        result = invoke(runner, ["frame", "check", str(path), "--format", "json"])
+        assert result.exit_code == 1
+        report = json.loads(result.stdout)
+        assert report["tight"] is False
+        assert report["passed"] is False
+        assert result.stderr == "invariant failure: tight\n"
 
     def test_parse_failure_exit_two(self, runner, tmp_path):
         path = tmp_path / "garbage.json"
@@ -164,13 +175,13 @@ class TestFrameCheckCommand:
         vectors = 1e5 * (rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3)))
         document = {"d": 3, "n": 9, "vectors": io.complex_to_pairs(vectors)}
         path = tmp_path / "frame.json"
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(document, default=_json_default))
         result = invoke(runner, ["frame", "check", str(path), "--format", "json"])
         assert result.exit_code == 1
         report = json.loads(result.stdout)
         assert report["invariants"]["unit_norms"]["pass"] is False
         assert len(report["frame_operator_spectrum"]) == document["d"]
-        assert result.stderr == "invariant failure: unit_norms\n"
+        assert result.stderr == "invariant failure: unit_norms, tight\n"
 
 
 class TestFrameGenCommands:
@@ -268,7 +279,7 @@ class TestKdCommand:
         document = io.frame_to_dict(sic_qubit())
         document["vectors"][0][0][0] = 1.001
         path = tmp_path / "denormalized.json"
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(document, default=_json_default))
         result = invoke(runner, ["kd", str(path)])
         assert result.exit_code == 1
         assert result.stdout == ""

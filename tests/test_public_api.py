@@ -129,3 +129,15 @@ def test_reference_oracle_has_no_twin_in_the_package():
         for info in pkgutil.iter_modules(kdframes.__path__)
     ]
     assert {name for name in defined for ns in namespaces if hasattr(ns, name)} == set()
+
+
+def test_one_json_writer():
+    """JSON text with indentation comes only from ``_jsontext``: no call in the
+    package passes ``indent=``."""
+    calls = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords)
+    ]
+    assert calls == []
