@@ -4,8 +4,11 @@ Reports and frame files, on stdout and on disk, are printed by ``_json_text``,
 and reports keep their numpy arrays until here. The stdlib's indent encoder
 is pure Python and takes one generator step per token, which dominates
 printing the (n, n, 2) Gram and KD arrays. Here every non-empty float64
-array of finite values is formatted in one ``float.__repr__`` pass and
-joined level by level along its shape; other arrays print as their
+array of finite values fills an indent-2 template of its shape, one ``%s``
+per float, in a single ``%`` operation. From ``_DEDUP_MIN`` floats on, each
+distinct magnitude is formatted once and signs are prefixed: the Gram
+matrix is exactly Hermitian, so its off-diagonal magnitudes come in pairs,
+and frame vectors repeat magnitudes too. Other arrays print as their
 ``.tolist()``, and all other values follow the stdlib rules.
 The writer is its own module rather than part of ``cli.py``: a ``kdf``
 process run without a bytecode cache compiles ``cli.py`` from source, and
@@ -35,19 +38,48 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _float_array(a: np.ndarray, level: int) -> str | None:
-    """Indent-2 JSON of a non-empty float64 array of finite values; None for other arrays.
+# Below this many floats the magnitude table costs more than the reprs it saves:
+# it pays off from about 100 floats when each magnitude appears twice, and costs
+# 1.2-1.5x one repr pass at any size when all magnitudes differ.
+_DEDUP_MIN = 256
 
-    Every float is formatted in one pass, then the rows are joined level by level.
+
+def _layout(shape: tuple[int, ...], level: int) -> str:
+    """Indent-2 JSON of an array of this shape at this level, with ``%s`` for each entry."""
+    text = "%s"
+    for depth in reversed(range(len(shape))):
+        inner = "\n" + "  " * (level + depth + 1)
+        close = "\n" + "  " * (level + depth) + "]"
+        text = "[" + inner + ("," + inner).join([text] * shape[depth]) + close
+    return text
+
+
+def _reprs(flat: np.ndarray) -> list[str]:
+    """``float.__repr__`` of each entry of a 1-d float64 array of finite values.
+
+    From ``_DEDUP_MIN`` floats on, each distinct magnitude is formatted once:
+    ``repr(-x) == "-" + repr(x)`` for every finite x, -0.0 included, so the
+    table is keyed on |x| (where equal values have equal bits, 0.0 and -0.0
+    sharing one key) and the entries whose sign bit is set get a ``-``.
+    A sorted table (``np.unique``) formats as fast but its first call maps
+    numpy's SIMD sort code, about 0.2 MB more peak RSS per process.
     """
+    if flat.size < _DEDUP_MIN:
+        return list(map(float.__repr__, flat.tolist()))
+    magnitudes = np.abs(flat).tolist()
+    table = dict.fromkeys(magnitudes)
+    table = dict(zip(table, map(float.__repr__, table)))
+    items = list(map(table.__getitem__, magnitudes))
+    for i in np.flatnonzero(np.signbit(flat)).tolist():
+        items[i] = "-" + items[i]
+    return items
+
+
+def _float_array(a: np.ndarray, level: int) -> str | None:
+    """Indent-2 JSON of a non-empty float64 array of finite values; None for other arrays."""
     if a.dtype != np.float64 or not a.size or not np.isfinite(a).all():
         return None
-    items = map(float.__repr__, a.ravel().tolist())
-    for depth in reversed(range(a.ndim)):
-        inner = "\n" + "  " * (level + depth + 1)
-        wrap = ("[" + inner + "{}\n" + "  " * (level + depth) + "]").format
-        items = map(wrap, map(("," + inner).join, zip(*[iter(items)] * a.shape[depth])))
-    return next(items)
+    return _layout(a.shape, level) % tuple(_reprs(a.ravel()))
 
 
 def _json_text(obj, level: int = 0) -> str:

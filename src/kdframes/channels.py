@@ -89,13 +89,17 @@ def frame_gram(f: Frame, rho: DensityMatrix) -> np.ndarray:
     for the frame vectors F as rows. Equal to
     ``unraveling_gram(principal_kraus(f), rho)``; like ``principal_kraus``
     it rejects a frame that is not tight, whose sum A^dag A is not I.
+    The result is exactly Hermitian: averaged with its conjugate transpose,
+    G[j, i] equals conj(G[i, j]) exactly (a zero imaginary part may carry
+    either sign) and the diagonal's imaginary part is +0.0.
     """
     scale = f.d / f.n
     require_identity(scale * frame_operator(f), "sum A^dag A")
     if f.d != rho.d:
         raise ValueError(f"dimension mismatch: Kraus input C^{f.d}, state C^{rho.d}")
     v = f.vectors
-    return scale * gram_matrix(f) * (v.conj() @ rho.matrix @ v.T).T
+    g = scale * gram_matrix(f) * (v.conj() @ rho.matrix @ v.T).T
+    return 0.5 * (g + g.conj().T)
 
 
 def _require_mixing(v, m: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import paley_frame
 from kdframes import io
-from kdframes._jsontext import _json_default, _json_text
+from kdframes._jsontext import _DEDUP_MIN, _json_default, _json_text
 from kdframes.cli import (
     build_bounds_report,
     build_extremality_report,
@@ -85,6 +85,37 @@ trees = st.recursive(
 @example([[], [1.0]])
 @example({"a": [], "b": {}, "c": ()})
 def test_writer_matches_stdlib_dump(tree):
+    assert _json_text(tree) == json.dumps(tree, indent=2, default=_json_default)
+
+
+# A pool of values for arrays long enough to reach the writer's magnitude table:
+# both zeros, the smallest subnormal, and values whose repr switches form.
+POOL = [0.0, -0.0, 5e-324, 1e-5, 1e16, 1e-17, 0.5, 1 / 3]
+
+
+def signed_pool_array(shape, pool, seed: int) -> np.ndarray:
+    """Entries drawn from pool, each with a random sign."""
+    rng = np.random.default_rng(seed)
+    size = math.prod(shape)
+    return (rng.choice(pool, size) * rng.choice([-1.0, 1.0], size)).reshape(shape)
+
+
+@st.composite
+def repeating_arrays(draw):
+    """A (k,), (k, k) or (k, k, 2) float array of a few repeated magnitudes."""
+    k = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from([(k,), (k, k), (k, k, 2)]))
+    pool = POOL + draw(st.lists(finite_floats, max_size=4))
+    return signed_pool_array(shape, pool, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(repeating_arrays())
+@example(signed_pool_array((_DEDUP_MIN - 1,), POOL, 0))
+@example(signed_pool_array((_DEDUP_MIN,), POOL, 0))
+@example(signed_pool_array((_DEDUP_MIN // 2, 2), POOL, 1))
+def test_writer_matches_stdlib_dump_on_repeated_magnitudes(a):
+    tree = [a, {"kd": a}]
     assert _json_text(tree) == json.dumps(tree, indent=2, default=_json_default)
 
 

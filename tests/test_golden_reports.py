@@ -19,7 +19,7 @@ from helpers import assert_same, paley_frame
 from kdframes import io
 from kdframes._jsontext import _json_default
 from kdframes.cli import build_kd_report, main
-from kdframes.frames import complement_etf, sic_qubit
+from kdframes.frames import complement_etf, random_density_matrix, sic_qubit
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 STATES = ("maximally-mixed", "frame-state:0")
@@ -76,15 +76,21 @@ def test_report_bytes_are_the_stdlib_indent_2_dump(case, tmp_path):
     assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n"
 
 
+@pytest.mark.parametrize("state", ["maximally-mixed", "frame-state:0", "matrix"])
 @pytest.mark.parametrize("p", [19, 43])
-def test_kd_bytes_are_the_stdlib_dump_of_the_report(p, tmp_path):
+def test_kd_bytes_are_the_stdlib_dump_of_the_report(p, state, tmp_path):
     path = tmp_path / "paley.json"
     io.dump_frame(paley_frame(p), path)
-    args = ["kd", str(path), "--format", "json"]
+    if state == "matrix":
+        state_path = tmp_path / "state.json"
+        rho = random_density_matrix(paley_frame(p).d, p).matrix
+        state_path.write_text(json.dumps(io.complex_to_pairs(rho).tolist()))
+        state = f"matrix:{state_path}"
+    args = ["kd", str(path), "--state", state, "--format", "json"]
     stdout = CliRunner().invoke(main, args, catch_exceptions=False).stdout
     frame = io.load_frame(path)
-    rho = io.resolve_state("maximally-mixed", frame)
-    report, _ = build_kd_report(frame, rho, "maximally-mixed")
+    rho = io.resolve_state(state, frame)
+    report, _ = build_kd_report(frame, rho, state)
     assert stdout == json.dumps(report, indent=2, default=_json_default) + "\n"
 
 

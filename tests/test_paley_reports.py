@@ -12,10 +12,10 @@ import pytest
 import kdframes.cli
 from helpers import extremal_probabilities, paley_frame
 from kdframes import io
-from kdframes.channels import principal_kraus, unraveling_gram
+from kdframes.channels import frame_gram, principal_kraus, unraveling_gram
 from kdframes.cli import build_bounds_report, build_extremality_report, build_kd_report
 from kdframes.entropy import renyi_entropy, tsallis_entropy
-from kdframes.frames import DensityMatrix, complement_etf, random_density_matrix
+from kdframes.frames import DensityMatrix, complement_etf, random_density_matrix, sic_qubit
 from kdframes.linalg import haar_unitary
 from reference import kd_matrix, povm_from_frame, transform_unraveling, unraveling_probabilities
 
@@ -105,6 +105,27 @@ def test_kd_report_passes(frame, spec):
     assert np.abs(io.pairs_to_complex(report["kd"]) - expected).max() <= 1e-12
     expected_spectrum = np.linalg.eigvalsh(expected)[::-1]
     assert np.abs(np.array(report["kd_spectrum"]) - expected_spectrum).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spec", STATES)
+@pytest.mark.parametrize("p", [2, 7, 19, 43], ids=lambda p: "sic2" if p == 2 else f"paley{p}")
+def test_gram_and_kd_are_exactly_hermitian(p, spec):
+    """G[j, i] equals conj(G[i, j]) exactly, and the diagonal's imaginary part
+    is +0.0; so do the printed [re, im] pairs of G and of the KD matrix.
+
+    Equal nonzero floats have equal bits; a zero may carry either sign, as
+    an imaginary part that cancels exactly sums to +0.0 on both sides.
+    """
+    frame = sic_qubit() if p == 2 else paley_frame(p)
+    rho = state_of(frame, spec)
+    gram = frame_gram(frame, rho)
+    assert np.array_equal(gram, gram.conj().T)
+    report, _ = build_kd_report(frame, rho, spec)
+    for key in ("gram", "kd"):
+        pairs = report[key]
+        mirrored = np.stack([pairs[..., 0].T, -pairs[..., 1].T], axis=-1)
+        assert np.array_equal(mirrored, pairs), key
+        assert np.diagonal(pairs[..., 1]).tobytes() == np.zeros(frame.n).tobytes(), key
 
 
 def test_kd_report_diagonalizes_once_and_builds_one_stack(monkeypatch, frame):
