@@ -14,7 +14,7 @@ import numpy as np
 from kdframes.bounds import etf_spectral_bound, gershgorin_union, max_eig_upper_bound
 from kdframes.channels import frame_gram
 from kdframes.frames import (
-    EtfParameters,
+    coherence_constant,
     complement_etf,
     orthonormal_frame,
     purity,
@@ -25,15 +25,15 @@ from kdframes.linalg import hermitian_eigvals
 
 
 def scan(frame, name: str, states: int, seed: int) -> None:
-    params = EtfParameters.of_frame(frame)
-    print(f"\n{name} (n={frame.n}, d={frame.d}, c={params.coherence:.4f})")
+    n, d = frame.n, frame.d
+    print(f"\n{name} (n={n}, d={d}, c={coherence_constant(n, d):.4f})")
     print(f"{'purity':>8} {'true max':>10} {'interval':>10} {'closed':>10} {'gershgorin':>11}  winner")
     for k in range(states):
-        rho = random_density_matrix(frame.d, np.random.default_rng([seed, k]))
+        rho = random_density_matrix(d, np.random.default_rng([seed, k]))
         gram = frame_gram(frame, rho)
         true_max = hermitian_eigvals(gram)[0]
         interval_bound = max_eig_upper_bound(gram)
-        closed_bound = etf_spectral_bound(params, purity(rho))
+        closed_bound = etf_spectral_bound(n, d, purity(rho))
         gershgorin_bound = gershgorin_union(gram).upper
         winner = "interval" if interval_bound <= gershgorin_bound else "gershgorin"
         print(

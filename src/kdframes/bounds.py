@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .entropy import alpha_log, renyi_interpolation_bound
-from .frames import EtfParameters
+from .frames import coherence_constant
 from .linalg import (
     SATURATION_TOL,
     STRUCTURAL_TOL,
@@ -84,13 +84,14 @@ def _trace_interval(n: int, trace: float, radicand: float) -> Interval:
     return Interval(trace / n - radius, trace / n + radius)
 
 
-def _check_purity(params: EtfParameters, purity: float) -> None:
-    lo = 1.0 / params.d
+def _check_purity(n: int, d: int, purity: float) -> None:
+    coherence_constant(n, d)  # names impossible sizes before 1/d can divide by zero
+    lo = 1.0 / d
     if not (lo - STRUCTURAL_TOL <= purity <= 1.0 + STRUCTURAL_TOL):
         raise ValueError(f"purity must lie in [1/d, 1] = [{lo}, 1], got {purity}")
 
 
-def ic_upper_bound(params: EtfParameters, purity: float) -> float:
+def ic_upper_bound(n: int, d: int, purity: float) -> float:
     """Largest index of coincidence of the ETF outcome distribution,
     [S c + (1 - c) purity] / S^2 with S = n/d.
 
@@ -98,23 +99,23 @@ def ic_upper_bound(params: EtfParameters, purity: float) -> float:
     maximally mixed state and the pure frame states); an equality for all
     states when n = d^2.
     """
-    _check_purity(params, purity)
-    s = params.redundancy
-    c = params.coherence
+    _check_purity(n, d, purity)
+    s = n / d
+    c = coherence_constant(n, d)
     return (s * c + (1.0 - c) * purity) / (s * s)
 
 
-def gram_frobenius_sq(params: EtfParameters, ic: float, purity: float) -> float:
+def gram_frobenius_sq(n: int, d: int, ic: float, purity: float) -> float:
     """Exact squared Frobenius norm (1 - c) ic + c purity of the principal
     unraveling Gram matrix of an ETF."""
-    _check_purity(params, purity)
+    _check_purity(n, d, purity)
     if not -STRUCTURAL_TOL <= ic <= 1.0 + STRUCTURAL_TOL:
         raise ValueError(f"index of coincidence must lie in [0, 1], got {ic}")
-    c = params.coherence
+    c = coherence_constant(n, d)
     return (1.0 - c) * ic + c * purity
 
 
-def _frobenius_bound(params: EtfParameters, purity: float) -> float:
+def _frobenius_bound(n: int, d: int, purity: float) -> float:
     """Upper bound F = (1 - c) IC_max + c purity on the squared Frobenius norm
     of every unraveling Gram matrix of the principal ETF channel, with IC_max
     from :func:`ic_upper_bound`.
@@ -122,12 +123,13 @@ def _frobenius_bound(params: EtfParameters, purity: float) -> float:
     Every closed form below derives from it: the eigenvalue interval, the
     collision-entropy term of the Renyi bound and the Tsallis bound.
     """
-    return gram_frobenius_sq(params, ic_upper_bound(params, purity), purity)
+    return gram_frobenius_sq(n, d, ic_upper_bound(n, d, purity), purity)
 
 
-def kd_frobenius_norm(params: EtfParameters, ic: float, purity: float) -> float:
+def kd_frobenius_norm(n: int, d: int, ic: float, purity: float) -> float:
     """Frobenius norm of the Kirkwood-Dirac matrix: (d/n) times the Gram norm."""
-    return (params.d / params.n) * np.sqrt(gram_frobenius_sq(params, ic, purity))
+    gram_norm = np.sqrt(gram_frobenius_sq(n, d, ic, purity))
+    return (d / n) * gram_norm
 
 
 def eigen_interval(m) -> Interval:
@@ -164,8 +166,9 @@ def max_eig_upper_bound(m) -> float:
     return eigen_interval(m).upper
 
 
-def gershgorin_disks(m) -> list[tuple[complex, float]]:
-    """Disk centers m_kk with deleted-absolute-row-sum radii.
+def gershgorin_disks(m) -> tuple[np.ndarray, np.ndarray]:
+    """Disk centers m_kk and deleted-absolute-row-sum radii, as a complex
+    (n,) array and a float (n,) array.
 
     Every eigenvalue of the matrix lies in the union of the disks.
     """
@@ -174,19 +177,19 @@ def gershgorin_disks(m) -> list[tuple[complex, float]]:
         raise ValueError(f"Gershgorin disks need a square matrix, got {m.shape}")
     magnitudes = np.abs(m)
     radii = magnitudes.sum(axis=1) - np.diagonal(magnitudes)
-    return [(complex(m[k, k]), float(radii[k])) for k in range(m.shape[0])]
+    return np.diagonal(m).copy(), radii
 
 
 def gershgorin_union(m) -> Interval:
     """Real interval holding every eigenvalue of a PSD matrix: the real
     extent of its Gershgorin disks, with the lower end clamped at 0."""
-    disks = gershgorin_disks(m)
-    lower = min(center.real - radius for center, radius in disks)
-    upper = max(center.real + radius for center, radius in disks)
+    centers, radii = gershgorin_disks(m)
+    lower = float((centers.real - radii).min())
+    upper = float((centers.real + radii).max())
     return Interval(max(0.0, lower), upper)
 
 
-def etf_eigen_interval(params: EtfParameters, purity: float) -> Interval:
+def etf_eigen_interval(n: int, d: int, purity: float) -> Interval:
     """Eigenvalue interval for the Gram matrix of any unraveling of the
     principal ETF channel, in terms of frame size and purity only.
 
@@ -194,16 +197,16 @@ def etf_eigen_interval(params: EtfParameters, purity: float) -> Interval:
     bound of :func:`_frobenius_bound`. For the maximally mixed state it
     coincides with the Gershgorin interval of radius (n-d)/(nd).
     """
-    return _trace_interval(params.n, 1.0, params.n * _frobenius_bound(params, purity) - 1.0)
+    return _trace_interval(n, 1.0, n * _frobenius_bound(n, d, purity) - 1.0)
 
 
-def etf_spectral_bound(params: EtfParameters, purity: float) -> float:
+def etf_spectral_bound(n: int, d: int, purity: float) -> float:
     """Upper bound on the spectral norm of every unraveling Gram matrix of
     the principal ETF channel; strictly below 1 for pure states when n > d."""
-    return etf_eigen_interval(params, purity).upper
+    return etf_eigen_interval(n, d, purity).upper
 
 
-def renyi_uncertainty_bound(params: EtfParameters, purity: float, alpha: float) -> float:
+def renyi_uncertainty_bound(n: int, d: int, purity: float, alpha: float) -> float:
     """Lower bound on the order-alpha Renyi entropy, alpha in [2, inf], of
     the outcome distribution of any unraveling of the principal ETF channel.
 
@@ -213,12 +216,12 @@ def renyi_uncertainty_bound(params: EtfParameters, purity: float, alpha: float) 
     """
     if not alpha >= 2.0:
         raise ValueError(f"Renyi bound defined for alpha >= 2, got {alpha}")
-    r2 = max(-float(np.log(_frobenius_bound(params, purity))), 0.0)
-    rinf = max(-float(np.log(etf_spectral_bound(params, purity))), 0.0)
+    r2 = max(-float(np.log(_frobenius_bound(n, d, purity))), 0.0)
+    rinf = max(-float(np.log(etf_spectral_bound(n, d, purity))), 0.0)
     return renyi_interpolation_bound(r2, rinf, alpha)
 
 
-def tsallis_uncertainty_bound(params: EtfParameters, purity: float, alpha: float) -> float:
+def tsallis_uncertainty_bound(n: int, d: int, purity: float, alpha: float) -> float:
     """Lower bound on the order-alpha Tsallis entropy, alpha in (0, 2], of
     the outcome distribution of any unraveling of the principal ETF channel.
 
@@ -227,7 +230,7 @@ def tsallis_uncertainty_bound(params: EtfParameters, purity: float, alpha: float
     """
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"Tsallis bound defined for alpha in (0, 2], got {alpha}")
-    return alpha_log(1.0 / _frobenius_bound(params, purity), alpha)
+    return alpha_log(1.0 / _frobenius_bound(n, d, purity), alpha)
 
 
 def pure_state_margin(n: int, d: int) -> float:

@@ -33,7 +33,6 @@ from .channels import frame_gram, mixed_probabilities, principal_kraus, unraveli
 from .entropy import clean_probabilities, index_of_coincidence, renyi_entropy, tsallis_entropy
 from .frames import (
     DensityMatrix,
-    EtfParameters,
     Frame,
     coherence_constant,
     complement_etf,
@@ -317,7 +316,7 @@ def build_bounds_report(
     _require_tight(frame, tol)
     if frame.n < 2 or is_equiangular(frame, tol.numeric) is None:
         raise ValueError("closed-form bounds need an equiangular tight frame")
-    params = EtfParameters.of_frame(frame)
+    n, d = frame.n, frame.d
     gram = frame_gram(frame, rho)
     spectrum = hermitian_eigvals(gram)
     true_max = float(spectrum[0])
@@ -326,21 +325,20 @@ def build_bounds_report(
     extremal = _clamp_zeros(spectrum, tol)
 
     ic = BoundReport.upper(
-        ic_upper_bound(params, state_purity), index_of_coincidence(probs), tol.saturation
+        ic_upper_bound(n, d, state_purity), index_of_coincidence(probs), tol.saturation
     )
 
     # For PSD G the largest-eigenvalue bound is the interval's upper end.
     interval = eigen_interval(gram)
     interval_slack = float(interval.slack(spectrum).min())
 
-    disks = gershgorin_disks(gram)
+    centers, radii = gershgorin_disks(gram)
     union = gershgorin_union(gram)
-    centers, radii = (np.array(column) for column in zip(*disks))
     # each eigenvalue's depth inside its best disk; the worst eigenvalue counts
     g_slack = float((radii - np.abs(spectrum[:, None] - centers)).max(axis=1).min())
 
     # The ETF spectral bound is the closed-form interval's upper end.
-    closed_interval = etf_eigen_interval(params, state_purity)
+    closed_interval = etf_eigen_interval(n, d, state_purity)
     closed_slack = float(closed_interval.slack(spectrum).min())
 
     # Entropy family -> (uncertainty bound, orders the bound covers).
@@ -355,7 +353,7 @@ def build_bounds_report(
             achieved = entropy(probs, alpha)
             achieved_extremal = entropy(extremal, alpha)
             row = BoundReport.lower(
-                bound_of(params, state_purity, alpha),
+                bound_of(n, d, state_purity, alpha),
                 min(achieved, achieved_extremal),
                 tol.saturation,
             )
@@ -383,8 +381,8 @@ def build_bounds_report(
     failures = [name for name, ok in checks.items() if not ok]
     report = {
         "command": "bounds",
-        "n": frame.n,
-        "d": frame.d,
+        "n": n,
+        "d": d,
         "state": state_spec,
         "purity": state_purity,
         "true_spectrum": spectrum,
@@ -403,8 +401,8 @@ def build_bounds_report(
         },
         "gershgorin": {
             "disks": [
-                {"center": np.array([center.real, center.imag]), "radius": radius}
-                for center, radius in disks
+                {"center": center, "radius": radius}
+                for center, radius in zip(io.complex_to_pairs(centers), radii.tolist())
             ],
             "union_lower": union.lower,
             "union_upper": union.upper,
@@ -443,8 +441,10 @@ def build_extremality_report(
     outcome distribution is diag(V^dag G V) for the closed-form Gram matrix
     G. The unitaries V are drawn and mixed in stacks of at most
     _HAAR_CHUNK_BYTES, and the entropies of up to _SAMPLE_BLOCK samples are
-    evaluated together. Renyi slacks are only evaluated at orders where
-    extremality is guaranteed (alpha <= 1, alpha = 2 and alpha = inf).
+    evaluated together. Tsallis rows are given at every finite order asked
+    for; Renyi rows only at the orders asked for with alpha <= 1 or
+    alpha = 2, plus alpha = inf always. Every Renyi order is
+    Schur-concave, so the other orders would hold too; they get no row.
     """
     _require_tight(frame, tol)
     gram = frame_gram(frame, rho)
@@ -513,8 +513,7 @@ def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> tuple[dict, list[s
     """Run every check of the built-in qubit tetrahedron example."""
     frame = sic_qubit()
     n, d = frame.n, frame.d
-    params = EtfParameters.of_frame(frame)
-    c = params.coherence
+    c = coherence_constant(n, d)
     checks: list[dict] = []
 
     def add(name: str, ok: bool, **info) -> None:
@@ -529,8 +528,8 @@ def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> tuple[dict, list[s
     add("mixed-state gram matrix", deviation <= tol.structural, max_deviation=deviation)
 
     radius_expected = (n - 1) * c / n
-    radii = [radius for _, radius in gershgorin_disks(gram_star)]
-    deviation = max(abs(r - radius_expected) for r in radii)
+    _, radii = gershgorin_disks(gram_star)
+    deviation = float(np.abs(radii - radius_expected).max())
     add(
         "mixed-state gershgorin radius 1/4",
         deviation <= tol.structural,
@@ -588,7 +587,7 @@ def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> tuple[dict, list[s
         closed_form=closed_bound,
     )
 
-    radius = etf_eigen_interval(params, 1.0).radius
+    radius = etf_eigen_interval(n, d, 1.0).radius
     add(
         "purity-based interval radius sqrt(11/3)/4",
         abs(radius - np.sqrt(11.0 / 3.0) / 4.0) <= tol.structural,

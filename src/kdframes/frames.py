@@ -76,34 +76,6 @@ class Frame:
 
 
 @dataclass(frozen=True)
-class EtfParameters:
-    """Size parameters of an ETF: n vectors in dimension d.
-
-    ``redundancy`` is n/d and ``coherence`` the squared overlap forced by
-    tightness plus equiangularity.
-    """
-
-    n: int
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.d < 1 or self.n < self.d:
-            raise ValueError(f"need n >= d >= 1, got n={self.n}, d={self.d}")
-
-    @property
-    def redundancy(self) -> float:
-        return self.n / self.d
-
-    @property
-    def coherence(self) -> float:
-        return coherence_constant(self.n, self.d)
-
-    @classmethod
-    def of_frame(cls, f: Frame) -> "EtfParameters":
-        return cls(f.n, f.d)
-
-
-@dataclass(frozen=True)
 class DensityMatrix:
     """Unit-trace positive semidefinite matrix on C^d."""
 
@@ -149,7 +121,8 @@ def is_equiangular(f: Frame, tol: float = NUMERIC_TOL) -> float | None:
         raise ValueError("equiangularity needs at least two vectors")
     overlaps = np.abs(gram_matrix(f)) ** 2
     off = overlaps[~np.eye(f.n, dtype=bool)]
-    if float(off.max() - off.min()) > tol:
+    # `not <=` also rejects a NaN spread, as overflowed (infinite) overlaps give
+    if not float(off.max() - off.min()) <= tol:
         return None
     return float(off.mean())
 

@@ -31,7 +31,7 @@ from kdframes.channels import principal_kraus, unraveling_gram
 from kdframes.entropy import index_of_coincidence, renyi_entropy, tsallis_entropy
 from kdframes.frames import (
     DensityMatrix,
-    EtfParameters,
+    coherence_constant,
     frame_mixture,
     purity,
     random_density_matrix,
@@ -104,16 +104,16 @@ def test_criterion_3_frobenius_norm_identity(catalog):
     start = time.perf_counter()
     worst = 0.0
     for index, (_, frame) in enumerate(catalog):
-        params = EtfParameters.of_frame(frame)
         unraveling = principal_kraus(frame)
         for k in range(100):
             rho = random_density_matrix(frame.d, state_rng(3, index, k))
             gram = unraveling_gram(unraveling, rho)
             ic = index_of_coincidence(unraveling_probabilities(unraveling, rho))
-            closed = gram_frobenius_sq(params, ic, purity(rho))
+            closed = gram_frobenius_sq(frame.n, frame.d, ic, purity(rho))
             worst = max(worst, abs(np.linalg.norm(gram) ** 2 - closed))
         # the two closed forms for the maximally mixed state
-        n, d, c = frame.n, frame.d, params.coherence
+        n, d = frame.n, frame.d
+        c = coherence_constant(n, d)
         form_a = (d * d - 2 * d + n) / ((n - 1) * d * d)
         form_b = (1.0 + (n - 1) * c * c) / n
         assert abs(form_a - form_b) <= 1e-12
@@ -133,13 +133,12 @@ def test_criterion_4_ic_bound_and_saturation(catalog):
     worst_equality = 0.0
     worst_sic_equality = 0.0
     for index, (_, frame) in enumerate(catalog):
-        params = EtfParameters.of_frame(frame)
         povm = povm_from_frame(frame)
         is_maximal = frame.n == frame.d * frame.d
         for k in range(1000):
             rho = random_density_matrix(frame.d, state_rng(4, index, k))
             ic = index_of_coincidence(outcome_probabilities(povm, rho))
-            gap = ic_upper_bound(params, purity(rho)) - ic
+            gap = ic_upper_bound(frame.n, frame.d, purity(rho)) - ic
             worst_slack = min(worst_slack, gap)
             if is_maximal:
                 worst_sic_equality = max(worst_sic_equality, abs(gap))
@@ -147,11 +146,12 @@ def test_criterion_4_ic_bound_and_saturation(catalog):
             weights = state_rng(40, index, k).dirichlet(np.ones(frame.n))
             rho = frame_mixture(frame, weights)
             ic = index_of_coincidence(outcome_probabilities(povm, rho))
-            gap = abs(ic_upper_bound(params, purity(rho)) - ic)
+            gap = abs(ic_upper_bound(frame.n, frame.d, purity(rho)) - ic)
             worst_equality = max(worst_equality, gap)
         rho_star = DensityMatrix(np.eye(frame.d) / frame.d)
         ic = index_of_coincidence(outcome_probabilities(povm, rho_star))
-        worst_equality = max(worst_equality, abs(ic_upper_bound(params, 1.0 / frame.d) - ic))
+        gap = abs(ic_upper_bound(frame.n, frame.d, 1.0 / frame.d) - ic)
+        worst_equality = max(worst_equality, gap)
     elapsed = time.perf_counter() - start
     assert worst_slack >= -1e-10
     assert worst_equality <= 1e-10
@@ -212,15 +212,16 @@ def test_criterion_5_extremality_monte_carlo(mc_population):
 def test_criterion_6_uncertainty_bounds(sic, mc_population):
     budget = 60.0
     start = time.perf_counter()
-    params = EtfParameters.of_frame(sic)
     renyi_grid = (2.0, 3.0, 5.0, 10.0, np.inf)
     tsallis_grid = (0.25, 0.75, 1.0, 1.5, 2.0)
     worst = np.inf
     for rho, extremal_probs, sampled in mc_population:
         state_purity = purity(rho)
-        renyi_bounds = {a: renyi_uncertainty_bound(params, state_purity, a) for a in renyi_grid}
+        renyi_bounds = {
+            a: renyi_uncertainty_bound(sic.n, sic.d, state_purity, a) for a in renyi_grid
+        }
         tsallis_bounds = {
-            a: tsallis_uncertainty_bound(params, state_purity, a) for a in tsallis_grid
+            a: tsallis_uncertainty_bound(sic.n, sic.d, state_purity, a) for a in tsallis_grid
         }
         for probs in list(sampled) + [extremal_probs]:
             for a in renyi_grid:
@@ -235,7 +236,7 @@ def test_criterion_6_uncertainty_bounds(sic, mc_population):
     rho_star = DensityMatrix(np.eye(2) / 2)
     extremal_probs = extremal_probabilities(principal_kraus(sic), rho_star)
     achieved = tsallis_entropy(extremal_probs, 2.0)
-    bound = tsallis_uncertainty_bound(params, 0.5, 2.0)
+    bound = tsallis_uncertainty_bound(sic.n, sic.d, 0.5, 2.0)
     saturation_gap = abs(achieved - bound)
     assert saturation_gap <= 1e-8
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +32,6 @@ from kdframes.channels import principal_kraus, unraveling_gram
 from kdframes.entropy import alpha_log, index_of_coincidence, renyi_entropy, tsallis_entropy
 from kdframes.frames import (
     DensityMatrix,
-    EtfParameters,
     coherence_constant,
     frame_mixture,
     purity,
@@ -47,8 +48,6 @@ from reference import (
 
 seeds = st.integers(0, 2**32 - 1)
 
-SIC_PARAMS = EtfParameters(4, 2)
-
 # ETF sizes for the written-out closed forms: the qubit SIC, two unrealized
 # parameter pairs, and the Paley ETFs (7, 3), (19, 9), (43, 21) with their
 # Naimark complements.
@@ -64,20 +63,20 @@ def sic_pure_gram(sic):
 
 class TestIcUpperBound:
     def test_sic_pure(self):
-        assert ic_upper_bound(SIC_PARAMS, 1.0) == pytest.approx(1.0 / 3.0)
+        assert ic_upper_bound(4, 2, 1.0) == pytest.approx(1.0 / 3.0)
 
     def test_sic_maximally_mixed(self):
-        assert ic_upper_bound(SIC_PARAMS, 0.5) == pytest.approx(0.25)
+        assert ic_upper_bound(4, 2, 0.5) == pytest.approx(0.25)
 
     @pytest.mark.parametrize("p", [0.4, 0.65, 1.0])
     def test_orthonormal_reduces_to_purity(self, p):
-        assert ic_upper_bound(EtfParameters(3, 3), p) == pytest.approx(p)
+        assert ic_upper_bound(3, 3, p) == pytest.approx(p)
 
     def test_purity_domain(self):
         with pytest.raises(ValueError):
-            ic_upper_bound(SIC_PARAMS, 0.2)
+            ic_upper_bound(4, 2, 0.2)
         with pytest.raises(ValueError):
-            ic_upper_bound(SIC_PARAMS, 1.2)
+            ic_upper_bound(4, 2, 1.2)
 
     @settings(deadline=None, max_examples=40)
     @given(seed=seeds)
@@ -85,27 +84,26 @@ class TestIcUpperBound:
         # The bound holds for arbitrary states and becomes an equality on
         # convex mixtures of the frame states.
         rng = rng_for(seed)
-        params = EtfParameters.of_frame(trine)
         povm = povm_from_frame(trine)
         rho = random_density_matrix(2, rng)
         ic = index_of_coincidence(outcome_probabilities(povm, rho))
-        assert ic <= ic_upper_bound(params, purity(rho)) + 1e-10
+        assert ic <= ic_upper_bound(trine.n, trine.d, purity(rho)) + 1e-10
         mixture = frame_mixture(trine, rng.dirichlet(np.ones(3)))
         ic = index_of_coincidence(outcome_probabilities(povm, mixture))
-        assert ic == pytest.approx(ic_upper_bound(params, purity(mixture)), abs=1e-10)
+        assert ic == pytest.approx(ic_upper_bound(trine.n, trine.d, purity(mixture)), abs=1e-10)
 
 
 class TestGramFrobenius:
     def test_sic_maximally_mixed_value(self):
-        assert gram_frobenius_sq(SIC_PARAMS, 0.25, 0.5) == pytest.approx(1.0 / 3.0)
+        assert gram_frobenius_sq(4, 2, 0.25, 0.5) == pytest.approx(1.0 / 3.0)
 
     def test_sic_pure_value(self):
-        value = gram_frobenius_sq(SIC_PARAMS, 1.0 / 3.0, 1.0)
+        value = gram_frobenius_sq(4, 2, 1.0 / 3.0, 1.0)
         assert value == pytest.approx(5.0 / 9.0)
         assert value == pytest.approx((2 / 3) ** 2 + (1 / 3) ** 2)
 
     def test_coherence_zero_reduces_to_ic(self):
-        assert gram_frobenius_sq(EtfParameters(4, 4), 0.37, 0.8) == pytest.approx(0.37)
+        assert gram_frobenius_sq(4, 4, 0.37, 0.8) == pytest.approx(0.37)
 
     @settings(deadline=None, max_examples=40)
     @given(seed=seeds)
@@ -114,23 +112,23 @@ class TestGramFrobenius:
         u = principal_kraus(sic)
         gram = unraveling_gram(u, rho)
         ic = index_of_coincidence(unraveling_probabilities(u, rho))
-        closed = gram_frobenius_sq(SIC_PARAMS, ic, purity(rho))
+        closed = gram_frobenius_sq(4, 2, ic, purity(rho))
         assert np.linalg.norm(gram) ** 2 == pytest.approx(closed, abs=1e-10)
 
 
 class TestKdFrobenius:
     def test_sic_values(self):
-        assert kd_frobenius_norm(SIC_PARAMS, 0.25, 0.5) == pytest.approx(0.5 * np.sqrt(1 / 3))
-        assert kd_frobenius_norm(SIC_PARAMS, 1 / 3, 1.0) == pytest.approx(0.5 * np.sqrt(5 / 9))
+        assert kd_frobenius_norm(4, 2, 0.25, 0.5) == pytest.approx(0.5 * np.sqrt(1 / 3))
+        assert kd_frobenius_norm(4, 2, 1 / 3, 1.0) == pytest.approx(0.5 * np.sqrt(5 / 9))
 
     def test_projective_basis_state(self):
-        assert kd_frobenius_norm(EtfParameters(2, 2), 1.0, 1.0) == pytest.approx(1.0)
+        assert kd_frobenius_norm(2, 2, 1.0, 1.0) == pytest.approx(1.0)
 
     def test_matches_actual_kd_matrix(self, sic):
         rho = random_density_matrix(2, rng_for(21))
         u = principal_kraus(sic)
         ic = index_of_coincidence(unraveling_probabilities(u, rho))
-        closed = kd_frobenius_norm(SIC_PARAMS, ic, purity(rho))
+        closed = kd_frobenius_norm(4, 2, ic, purity(rho))
         actual = np.linalg.norm(kd_matrix(povm_from_frame(sic), rho))
         assert actual == pytest.approx(closed, abs=1e-10)
 
@@ -218,16 +216,15 @@ class TestMaxEigUpperBound:
 class TestGershgorin:
     def test_etf_maximally_mixed_disks(self, catalog):
         for _, frame in catalog:
-            params = EtfParameters.of_frame(frame)
             rho = DensityMatrix(np.eye(frame.d) / frame.d)
             gram = unraveling_gram(principal_kraus(frame), rho)
-            expected_radius = (frame.n - 1) * params.coherence / frame.n
-            for center, radius in gershgorin_disks(gram):
+            expected_radius = (frame.n - 1) * coherence_constant(frame.n, frame.d) / frame.n
+            for center, radius in zip(*gershgorin_disks(gram)):
                 assert center.real == pytest.approx(1.0 / frame.n, abs=1e-12)
                 assert radius == pytest.approx(expected_radius, abs=1e-12)
 
     def test_diagonal_matrix_zero_radii(self):
-        for _, radius in gershgorin_disks(np.diag([1.0, 2.0, 3.0]).astype(complex)):
+        for radius in gershgorin_disks(np.diag([1.0, 2.0, 3.0]).astype(complex))[1]:
             assert radius == 0.0
 
     def test_sic_pure_union_is_unit_interval(self, sic):
@@ -243,34 +240,44 @@ class TestGershgorin:
         spectrum = np.linalg.eigvalsh(m)
         assert union.lower >= 0.0
         assert union.lower - 1e-9 <= spectrum[0] and spectrum[-1] <= union.upper + 1e-9
-        disks = gershgorin_disks(m)
+        disks = zip(*gershgorin_disks(m))
         assert union.upper == max(center.real + radius for center, radius in disks)
+
+    def test_disks_are_a_center_and_a_radius_array(self):
+        a = random_complex_matrix(5, 5, rng_for(8))
+        m = a @ a.conj().T + 20.0 * np.eye(5)
+        centers, radii = gershgorin_disks(m)
+        assert centers.dtype == np.complex128 and centers.shape == (5,)
+        assert radii.dtype == np.float64 and radii.shape == (5,)
+        assert np.array_equal(centers, np.diagonal(m))
+        assert np.allclose(radii, np.abs(m).sum(axis=1) - np.abs(np.diagonal(m)))
+        union = gershgorin_union(m)
+        assert union.lower == (centers.real - radii).min() > 0.0
+        assert union.upper == (centers.real + radii).max()
 
     @settings(deadline=None)
     @given(seed=seeds, n=st.integers(2, 7))
     def test_eigenvalue_containment(self, seed, n):
         m = random_complex_matrix(n, n, rng_for(seed))
-        disks = gershgorin_disks(m)
+        disks = list(zip(*gershgorin_disks(m)))
         for value in np.linalg.eigvals(m):
             assert min(abs(value - center) - radius for center, radius in disks) <= 1e-9
 
 
 class TestEtfInterval:
     def test_sic_pure_radius(self):
-        interval = etf_eigen_interval(SIC_PARAMS, 1.0)
+        interval = etf_eigen_interval(4, 2, 1.0)
         assert interval.lower + interval.radius == pytest.approx(0.25)
         assert interval.radius == pytest.approx(np.sqrt(11.0 / 3.0) / 4.0, abs=1e-12)
 
     def test_maximally_mixed_matches_gershgorin_radius(self, catalog):
         for _, frame in catalog:
-            params = EtfParameters.of_frame(frame)
-            interval = etf_eigen_interval(params, 1.0 / frame.d)
+            interval = etf_eigen_interval(frame.n, frame.d, 1.0 / frame.d)
             expected = (frame.n - frame.d) / (frame.n * frame.d)
             assert interval.radius == pytest.approx(expected, abs=1e-10)
 
     def test_orthonormal_formula(self):
-        params = EtfParameters(3, 3)
-        interval = etf_eigen_interval(params, 1.0)
+        interval = etf_eigen_interval(3, 3, 1.0)
         assert interval.radius == pytest.approx(np.sqrt(2.0) / 3.0 * np.sqrt(2.0))
 
     @pytest.mark.parametrize("n,d", CLOSED_FORM_SIZES)
@@ -279,7 +286,7 @@ class TestEtfInterval:
         s = n / d
         for state_purity in np.linspace(1.0 / d, 1.0, 7):
             radicand = ((1 - c) ** 2 / s**2 + c) * n * state_purity + (1 - c) * c * d - 1.0
-            interval = etf_eigen_interval(EtfParameters(n, d), state_purity)
+            interval = etf_eigen_interval(n, d, state_purity)
             assert interval.lower + interval.radius == pytest.approx(1.0 / n, abs=1e-12)
             assert interval.radius == pytest.approx(
                 np.sqrt(n - 1.0) / n * np.sqrt(radicand), abs=1e-12
@@ -291,17 +298,17 @@ class TestEtfInterval:
         rng = rng_for(seed)
         rho = random_density_matrix(2, rng)
         u = transform_unraveling(principal_kraus(sic), haar_unitary(4, rng))
-        interval = etf_eigen_interval(SIC_PARAMS, purity(rho))
+        interval = etf_eigen_interval(4, 2, purity(rho))
         for value in hermitian_eigvals(unraveling_gram(u, rho)):
             assert interval.slack(float(value)) >= -1e-10
 
 
 class TestEtfSpectralBound:
     def test_sic_pure_stays_below_0729(self):
-        assert etf_spectral_bound(SIC_PARAMS, 1.0) < 0.729
+        assert etf_spectral_bound(4, 2, 1.0) < 0.729
 
     def test_sic_maximally_mixed_achieved_exactly(self, sic):
-        bound = etf_spectral_bound(SIC_PARAMS, 0.5)
+        bound = etf_spectral_bound(4, 2, 0.5)
         assert bound == pytest.approx(0.5, abs=1e-12)
         rho = DensityMatrix(np.eye(2) / 2)
         top = hermitian_eigvals(unraveling_gram(principal_kraus(sic), rho))[0]
@@ -311,7 +318,7 @@ class TestEtfSpectralBound:
         for _, frame in catalog:
             if frame.n == frame.d:
                 continue
-            assert etf_spectral_bound(EtfParameters.of_frame(frame), 1.0) < 1.0
+            assert etf_spectral_bound(frame.n, frame.d, 1.0) < 1.0
 
     @settings(deadline=None, max_examples=30)
     @given(seed=seeds)
@@ -320,7 +327,7 @@ class TestEtfSpectralBound:
         rho = random_density_matrix(2, rng)
         u = transform_unraveling(principal_kraus(sic), haar_unitary(4, rng))
         achieved = np.linalg.norm(unraveling_gram(u, rho), 2)
-        assert etf_spectral_bound(SIC_PARAMS, purity(rho)) >= achieved - 1e-10
+        assert etf_spectral_bound(4, 2, purity(rho)) >= achieved - 1e-10
 
 
 def direct_renyi_bound(n: int, d: int, state_purity: float, alpha: float) -> float:
@@ -339,24 +346,23 @@ def direct_renyi_bound(n: int, d: int, state_purity: float, alpha: float) -> flo
 
 class TestRenyiUncertaintyBound:
     def test_infinite_order_collapses_to_spectral_term(self):
-        bound = renyi_uncertainty_bound(SIC_PARAMS, 0.8, np.inf)
-        assert bound == pytest.approx(-np.log(etf_spectral_bound(SIC_PARAMS, 0.8)))
+        bound = renyi_uncertainty_bound(4, 2, 0.8, np.inf)
+        assert bound == pytest.approx(-np.log(etf_spectral_bound(4, 2, 0.8)))
 
     def test_order_two_sic_pure(self):
-        assert renyi_uncertainty_bound(SIC_PARAMS, 1.0, 2.0) == pytest.approx(
+        assert renyi_uncertainty_bound(4, 2, 1.0, 2.0) == pytest.approx(
             -np.log(5.0 / 9.0), abs=1e-12
         )
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            renyi_uncertainty_bound(SIC_PARAMS, 1.0, 1.5)
+            renyi_uncertainty_bound(4, 2, 1.0, 1.5)
 
     @pytest.mark.parametrize("n,d", CLOSED_FORM_SIZES)
     @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 7.0, 50.0])
     def test_matches_single_expression_form(self, n, d, alpha):
-        params = EtfParameters(n, d)
         for state_purity in np.linspace(1.0 / d, 1.0, 7):
-            assert renyi_uncertainty_bound(params, state_purity, alpha) == pytest.approx(
+            assert renyi_uncertainty_bound(n, d, state_purity, alpha) == pytest.approx(
                 direct_renyi_bound(n, d, state_purity, alpha), abs=1e-12
             )
 
@@ -367,25 +373,24 @@ class TestRenyiUncertaintyBound:
         rho = random_density_matrix(2, rng)
         u = transform_unraveling(principal_kraus(sic), haar_unitary(4, rng))
         achieved = renyi_entropy(unraveling_probabilities(u, rho), alpha)
-        assert achieved >= renyi_uncertainty_bound(SIC_PARAMS, purity(rho), alpha) - 1e-10
+        assert achieved >= renyi_uncertainty_bound(4, 2, purity(rho), alpha) - 1e-10
 
 
 class TestTsallisUncertaintyBound:
     def test_order_two_sic_pure(self):
-        assert tsallis_uncertainty_bound(SIC_PARAMS, 1.0, 2.0) == pytest.approx(
+        assert tsallis_uncertainty_bound(4, 2, 1.0, 2.0) == pytest.approx(
             4.0 / 9.0, abs=1e-12
         )
 
     def test_order_one_is_plain_log(self):
         s, c = 2.0, 1.0 / 3.0
         arg = s * s / ((1 - c) * c * s + ((1 - c) ** 2 + c * s * s) * 0.7)
-        assert tsallis_uncertainty_bound(SIC_PARAMS, 0.7, 1.0) == pytest.approx(np.log(arg))
+        assert tsallis_uncertainty_bound(4, 2, 0.7, 1.0) == pytest.approx(np.log(arg))
 
     @pytest.mark.parametrize("p", [0.4, 0.7, 1.0])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_orthonormal_reduces_to_alpha_log_of_inverse_purity(self, p, alpha):
-        params = EtfParameters(3, 3)
-        assert tsallis_uncertainty_bound(params, p, alpha) == pytest.approx(
+        assert tsallis_uncertainty_bound(3, 3, p, alpha) == pytest.approx(
             alpha_log(1.0 / p, alpha)
         )
 
@@ -396,14 +401,14 @@ class TestTsallisUncertaintyBound:
         s = n / d
         for state_purity in np.linspace(1.0 / d, 1.0, 7):
             arg = s * s / ((1 - c) * c * s + ((1 - c) ** 2 + c * s * s) * state_purity)
-            bound = tsallis_uncertainty_bound(EtfParameters(n, d), state_purity, alpha)
+            bound = tsallis_uncertainty_bound(n, d, state_purity, alpha)
             assert bound == pytest.approx(alpha_log(arg, alpha), abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            tsallis_uncertainty_bound(SIC_PARAMS, 1.0, 2.5)
+            tsallis_uncertainty_bound(4, 2, 1.0, 2.5)
         with pytest.raises(ValueError):
-            tsallis_uncertainty_bound(SIC_PARAMS, 1.0, np.inf)
+            tsallis_uncertainty_bound(4, 2, 1.0, np.inf)
 
     @settings(deadline=None, max_examples=25)
     @given(seed=seeds, alpha=st.floats(0.05, 2.0))
@@ -412,7 +417,7 @@ class TestTsallisUncertaintyBound:
         rho = random_density_matrix(2, rng)
         u = transform_unraveling(principal_kraus(sic), haar_unitary(4, rng))
         achieved = tsallis_entropy(unraveling_probabilities(u, rho), alpha)
-        assert achieved >= tsallis_uncertainty_bound(SIC_PARAMS, purity(rho), alpha) - 1e-10
+        assert achieved >= tsallis_uncertainty_bound(4, 2, purity(rho), alpha) - 1e-10
 
     def test_saturated_by_extremal_at_order_two(self, sic):
         # With the coincidence bound saturated (frame mixtures), the order-2
@@ -421,8 +426,32 @@ class TestTsallisUncertaintyBound:
         for rho in (DensityMatrix(np.eye(2) / 2), frame_mixture(sic, [1, 0, 0, 0])):
             probs = extremal_probabilities(principal_kraus(sic), rho)
             achieved = tsallis_entropy(probs, 2.0)
-            bound = tsallis_uncertainty_bound(SIC_PARAMS, purity(rho), 2.0)
+            bound = tsallis_uncertainty_bound(4, 2, purity(rho), 2.0)
             assert achieved == pytest.approx(bound, abs=1e-8)
+
+
+# Each closed form of the ETF channel at frame size (n, d), with valid
+# remaining arguments for every possible d.
+CLOSED_FORMS = {
+    "ic_upper_bound": lambda n, d: ic_upper_bound(n, d, 1.0),
+    "gram_frobenius_sq": lambda n, d: gram_frobenius_sq(n, d, 0.5, 1.0),
+    "kd_frobenius_norm": lambda n, d: kd_frobenius_norm(n, d, 0.5, 1.0),
+    "etf_eigen_interval": lambda n, d: etf_eigen_interval(n, d, 1.0),
+    "etf_spectral_bound": lambda n, d: etf_spectral_bound(n, d, 1.0),
+    "renyi_uncertainty_bound": lambda n, d: renyi_uncertainty_bound(n, d, 1.0, 2.0),
+    "tsallis_uncertainty_bound": lambda n, d: tsallis_uncertainty_bound(n, d, 1.0, 1.0),
+}
+
+
+class TestImpossibleSizes:
+    @pytest.mark.parametrize(
+        "n,d,named", [(2, 0, "d=0"), (0, 0, "d=0"), (2, 3, "n=2 < d=3"), (0, 1, "n=0 < d=1")]
+    )
+    @pytest.mark.parametrize("form", sorted(CLOSED_FORMS))
+    def test_named_value_error(self, form, n, d, named):
+        # a ZeroDivisionError from 1/d or d/n would escape pytest.raises
+        with pytest.raises(ValueError, match=re.escape(named)):
+            CLOSED_FORMS[form](n, d)
 
 
 class TestPureStateMargin:

@@ -7,7 +7,6 @@ from kdframes import io
 from kdframes.cli import build_bounds_report, build_extremality_report, build_kd_report
 from kdframes.frames import (
     DensityMatrix,
-    EtfParameters,
     Frame,
     coherence_constant,
     complement_etf,
@@ -38,7 +37,6 @@ class TestFrameValidation:
 
     def test_shape_properties(self, sic):
         assert (sic.n, sic.d) == (4, 2)
-        assert EtfParameters.of_frame(sic).redundancy == pytest.approx(2.0)
 
 
 class TestFrameOperator:

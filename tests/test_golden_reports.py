@@ -12,13 +12,14 @@ change of a report, regenerate the files with
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from helpers import assert_same, paley_frame
 from kdframes import io
 from kdframes._jsontext import _json_default
-from kdframes.cli import build_kd_report, main
+from kdframes.cli import build_bounds_report, build_kd_report, main
 from kdframes.frames import complement_etf, random_density_matrix, sic_qubit
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -76,9 +77,23 @@ def test_report_bytes_are_the_stdlib_indent_2_dump(case, tmp_path):
     assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n"
 
 
+# Reports printed past the goldens' n = 7: command -> (extra kdf arguments,
+# its report builder with that command's arguments after the state).
+BYTE_CASES = {
+    "kd": ([], build_kd_report),
+    "bounds": (
+        ["--alphas", "0.5,1,1.5,2,3,5,inf"],
+        lambda frame, rho, state: build_bounds_report(
+            frame, rho, state, [0.5, 1.0, 1.5, 2.0, 3.0, 5.0, np.inf]
+        ),
+    ),
+}
+
+
 @pytest.mark.parametrize("state", ["maximally-mixed", "frame-state:0", "matrix"])
 @pytest.mark.parametrize("p", [19, 43])
-def test_kd_bytes_are_the_stdlib_dump_of_the_report(p, state, tmp_path):
+@pytest.mark.parametrize("command", sorted(BYTE_CASES))
+def test_kd_bytes_are_the_stdlib_dump_of_the_report(command, p, state, tmp_path):
     path = tmp_path / "paley.json"
     io.dump_frame(paley_frame(p), path)
     if state == "matrix":
@@ -86,11 +101,12 @@ def test_kd_bytes_are_the_stdlib_dump_of_the_report(p, state, tmp_path):
         rho = random_density_matrix(paley_frame(p).d, p).matrix
         state_path.write_text(json.dumps(io.complex_to_pairs(rho).tolist()))
         state = f"matrix:{state_path}"
-    args = ["kd", str(path), "--state", state, "--format", "json"]
+    extra, build = BYTE_CASES[command]
+    args = [command, str(path), "--state", state, *extra, "--format", "json"]
     stdout = CliRunner().invoke(main, args, catch_exceptions=False).stdout
     frame = io.load_frame(path)
     rho = io.resolve_state(state, frame)
-    report, _ = build_kd_report(frame, rho, state)
+    report, _ = build(frame, rho, state)
     assert stdout == json.dumps(report, indent=2, default=_json_default) + "\n"
 
 

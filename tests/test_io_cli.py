@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from kdframes.cli import build_qubit_sic_report, main
 from kdframes.frames import DensityMatrix, Frame, orthonormal_frame, purity, sic_qubit
 from kdframes.linalg import Tolerances
 
+ROOT = Path(__file__).resolve().parent.parent
 S3 = 1.0 / np.sqrt(3.0)
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -182,6 +187,30 @@ class TestFrameCheckCommand:
         assert report["invariants"]["unit_norms"]["pass"] is False
         assert len(report["frame_operator_spectrum"]) == document["d"]
         assert result.stderr == "invariant failure: unit_norms, tight\n"
+
+    def test_overflowing_overlaps_are_not_equiangular(self, tmp_path):
+        # Entries of 1e200 overflow every squared overlap to inf, so their
+        # spread is NaN. A subprocess, because numpy's overflow warnings
+        # would be errors under this suite's warning filter.
+        document = {"d": 2, "n": 3, "vectors": [[[1e200, 0.0], [0.0, 0.0]]] * 3}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(document))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "kdframes.cli", "frame", "check", str(path), "--format", "json"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert result.returncode == 1
+        report = json.loads(result.stdout)
+        assert report["equiangular"] is False
+        assert report["measured_c"] is None
+        assert result.stderr.splitlines()[-1] == "invariant failure: unit_norms, tight"
 
 
 class TestFrameGenCommands:
