@@ -19,7 +19,6 @@ import numpy as np
 from .entropy import alpha_log, renyi_interpolation_bound
 from .frames import coherence_constant
 from .linalg import (
-    SATURATION_TOL,
     STRUCTURAL_TOL,
     as_complex_matrix,
     require_hermitian,
@@ -48,31 +47,6 @@ class Interval:
         return np.minimum(value - self.lower, self.upper - value)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """A bound next to the achieved quantity it controls.
-
-    ``slack`` is bound - achieved for upper bounds and achieved - bound for
-    lower bounds, so a valid bound always has slack >= -tolerance;
-    ``saturated`` flags |slack| <= tol.
-    """
-
-    bound_value: float
-    achieved_value: float
-    slack: float
-    saturated: bool
-
-    @classmethod
-    def upper(cls, bound: float, achieved: float, tol: float = SATURATION_TOL) -> "BoundReport":
-        slack = bound - achieved
-        return cls(bound, achieved, slack, abs(slack) <= tol)
-
-    @classmethod
-    def lower(cls, bound: float, achieved: float, tol: float = SATURATION_TOL) -> "BoundReport":
-        slack = achieved - bound
-        return cls(bound, achieved, slack, abs(slack) <= tol)
-
-
 def _trace_interval(n: int, trace: float, radicand: float) -> Interval:
     """Interval trace/n +- sqrt(n-1)/n sqrt(radicand) around the mean of n
     values with sum ``trace``, for the radicand n ||m||_F^2 - tr(m)^2."""
@@ -80,7 +54,7 @@ def _trace_interval(n: int, trace: float, radicand: float) -> Interval:
     # negative signals an invalid input rather than numerics.
     if radicand < -STRUCTURAL_TOL:
         raise ValueError(f"negative radicand {radicand:.3e} indicates invalid input")
-    radius = np.sqrt(n - 1.0) / n * np.sqrt(max(radicand, 0.0))
+    radius = float(np.sqrt(n - 1.0) / n * np.sqrt(max(radicand, 0.0)))
     return Interval(trace / n - radius, trace / n + radius)
 
 

@@ -19,7 +19,6 @@ import numpy as np
 from . import io
 from ._jsontext import _json_text
 from .bounds import (
-    BoundReport,
     etf_eigen_interval,
     eigen_interval,
     gershgorin_disks,
@@ -227,11 +226,19 @@ def _clamp_zeros(spectrum: np.ndarray, tol: Tolerances) -> np.ndarray:
     return np.where(np.abs(spectrum) <= tol.structural, 0.0, spectrum)
 
 
+def _finite(value):
+    """The value, or None (JSON null) if an overflow left inf or NaN in it."""
+    return value if np.isfinite(value).all() else None
+
+
 # ----------------------------------------------------------------------
 # report builders: pure functions returning (report, failed check names)
 # ----------------------------------------------------------------------
 
 
+# Finite entries can overflow (1e200 squares to inf): such a frame fails its
+# checks without numpy warnings, and its overflowed fields print as null.
+@np.errstate(over="ignore", invalid="ignore")
 def build_frame_check_report(
     raw_vectors: np.ndarray, tol: Tolerances = Tolerances()
 ) -> tuple[dict, list[str]]:
@@ -239,7 +246,7 @@ def build_frame_check_report(
     n, d = raw_vectors.shape
     norm_dev = float(np.abs(np.linalg.norm(raw_vectors, axis=1) - 1.0).max())
     invariants = {
-        "unit_norms": {"pass": norm_dev <= tol.numeric, "max_deviation": norm_dev},
+        "unit_norms": {"pass": norm_dev <= tol.numeric, "max_deviation": _finite(norm_dev)},
         "n_ge_d": {"pass": bool(n >= d)},
     }
     report: dict = {
@@ -261,7 +268,7 @@ def build_frame_check_report(
                 "equiangular": measured_c is not None,
                 "measured_c": measured_c,
                 "expected_c": coherence_constant(n, d),
-                "frame_operator_spectrum": spectrum,
+                "frame_operator_spectrum": _finite(spectrum),
             }
         )
     failures = [name for name, entry in invariants.items() if not entry["pass"]]
@@ -324,9 +331,10 @@ def build_bounds_report(
     probs = clean_probabilities(np.diagonal(gram).real)
     extremal = _clamp_zeros(spectrum, tol)
 
-    ic = BoundReport.upper(
-        ic_upper_bound(n, d, state_purity), index_of_coincidence(probs), tol.saturation
-    )
+    # The IC bound is an upper bound, so its slack is bound - achieved.
+    ic_bound = ic_upper_bound(n, d, state_purity)
+    ic_achieved = index_of_coincidence(probs)
+    ic_slack = ic_bound - ic_achieved
 
     # For PSD G the largest-eigenvalue bound is the interval's upper end.
     interval = eigen_interval(gram)
@@ -341,7 +349,8 @@ def build_bounds_report(
     closed_interval = etf_eigen_interval(n, d, state_purity)
     closed_slack = float(closed_interval.slack(spectrum).min())
 
-    # Entropy family -> (uncertainty bound, orders the bound covers).
+    # Entropy family -> (uncertainty bound, orders the bound covers). The
+    # bounds are lower bounds: slack is the smaller achieved value - bound.
     families = {
         "renyi": (renyi_uncertainty_bound, lambda a: a >= 2.0),
         "tsallis": (tsallis_uncertainty_bound, lambda a: np.isfinite(a) and a <= 2.0),
@@ -350,27 +359,24 @@ def build_bounds_report(
     for family, (bound_of, covers) in families.items():
         entropy = _ENTROPIES[family]
         for alpha in filter(covers, alphas):
+            bound = bound_of(n, d, state_purity, alpha)
             achieved = entropy(probs, alpha)
             achieved_extremal = entropy(extremal, alpha)
-            row = BoundReport.lower(
-                bound_of(n, d, state_purity, alpha),
-                min(achieved, achieved_extremal),
-                tol.saturation,
-            )
+            slack = min(achieved, achieved_extremal) - bound
             rows[family].append(
                 {
                     "alpha": _alpha_key(alpha),
-                    "bound": row.bound_value,
+                    "bound": bound,
                     "achieved": achieved,
                     "achieved_extremal": achieved_extremal,
-                    "slack": row.slack,
-                    "saturated": row.saturated,
-                    "pass": row.slack >= -tol.numeric,
+                    "slack": slack,
+                    "saturated": abs(slack) <= tol.saturation,
+                    "pass": slack >= -tol.numeric,
                 }
             )
 
     checks = {
-        "ic_bound": ic.slack >= -tol.numeric,
+        "ic_bound": ic_slack >= -tol.numeric,
         "eigen_interval": interval_slack >= -tol.numeric,
         "gershgorin": g_slack >= -tol.numeric,
         "closed_form_interval": closed_slack >= -tol.numeric,
@@ -387,10 +393,10 @@ def build_bounds_report(
         "purity": state_purity,
         "true_spectrum": spectrum,
         "index_of_coincidence": {
-            "achieved": ic.achieved_value,
-            "bound": ic.bound_value,
-            "slack": ic.slack,
-            "saturated": ic.saturated,
+            "achieved": ic_achieved,
+            "bound": ic_bound,
+            "slack": ic_slack,
+            "saturated": abs(ic_slack) <= tol.saturation,
         },
         "eigen_interval": {
             "lower": interval.lower,
@@ -579,7 +585,7 @@ def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> tuple[dict, list[s
     )
 
     bound = max_eig_upper_bound(gram_pure)
-    closed_bound = (1.0 + np.sqrt(11.0 / 3.0)) / 4.0
+    closed_bound = (1.0 + float(np.sqrt(11.0 / 3.0))) / 4.0
     add(
         "largest-eigenvalue bound (1 + sqrt(11/3))/4 below 0.729",
         abs(bound - closed_bound) <= tol.structural and bound < 0.729,

@@ -112,7 +112,7 @@ def is_tight(f: Frame, tol: float = NUMERIC_TOL) -> bool:
     """Whether the frame operator equals (n/d) I within relative tolerance."""
     target = f.n / f.d
     deviation = np.linalg.norm(frame_operator(f) - target * np.eye(f.d))
-    return deviation <= tol * target
+    return bool(deviation <= tol * target)
 
 
 def is_equiangular(f: Frame, tol: float = NUMERIC_TOL) -> float | None:
@@ -193,7 +193,8 @@ def frame_mixture(f: Frame, weights) -> DensityMatrix:
     w = np.asarray(weights, dtype=float).ravel()
     if w.shape != (f.n,):
         raise ValueError(f"need {f.n} weights, got {w.shape}")
-    if float(w.min()) < -STRUCTURAL_TOL or abs(float(w.sum()) - 1.0) > STRUCTURAL_TOL:
+    # `not >=` and `not <=` also reject NaN weights
+    if not (w.min() >= -STRUCTURAL_TOL and abs(w.sum() - 1.0) <= STRUCTURAL_TOL):
         raise ValueError("weights must be non-negative and sum to 1")
     rho = np.einsum("j,ja,jb->ab", w, f.vectors, f.vectors.conj())
     return DensityMatrix(rho)

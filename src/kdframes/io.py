@@ -46,18 +46,18 @@ def frame_to_dict(f: Frame) -> dict:
     return {"d": f.d, "n": f.n, "vectors": complex_to_pairs(f.vectors)}
 
 
-def raw_vectors_from_dict(data, name: str = "frame file") -> np.ndarray:
+def raw_vectors_from_dict(data) -> np.ndarray:
     """Extract the (n, d) vector array without enforcing frame invariants."""
     if not isinstance(data, dict):
-        raise FrameFileError(f"{name} must be a JSON object")
+        raise FrameFileError("frame file must be a JSON object")
     for key in ("d", "n", "vectors"):
         if key not in data:
-            raise FrameFileError(f"{name} is missing the '{key}' field")
+            raise FrameFileError(f"frame file is missing the '{key}' field")
     for key in ("n", "d"):
         # bool is an int subclass, but true/false is no size
         if type(data[key]) is not int:
             shown = json.dumps(data[key], default=repr)
-            raise FrameFileError(f"{name} field '{key}' must be an integer, got {shown}")
+            raise FrameFileError(f"frame file field '{key}' must be an integer, got {shown}")
     vectors = pairs_to_complex(data["vectors"], "vectors")
     if vectors.ndim != 2:
         raise FrameFileError(f"vectors must form an n-by-d array, got shape {vectors.shape}")

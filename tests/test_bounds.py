@@ -12,7 +12,6 @@ from helpers import (
     spectrum_with_equal_tail,
 )
 from kdframes.bounds import (
-    BoundReport,
     Interval,
     eigen_interval,
     etf_eigen_interval,
@@ -483,13 +482,3 @@ class TestReportTypes:
         slacks = interval.slack(values)
         assert slacks.shape == values.shape
         assert slacks.tolist() == [interval.slack(float(v)) for v in values]
-
-    def test_upper_bound_report(self):
-        report = BoundReport.upper(1.0, 0.4)
-        assert report.slack == pytest.approx(0.6)
-        assert not report.saturated
-
-    def test_lower_bound_report_saturation(self):
-        report = BoundReport.lower(0.5, 0.5 + 1e-9)
-        assert report.slack == pytest.approx(1e-9)
-        assert report.saturated

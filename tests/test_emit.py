@@ -20,6 +20,7 @@ from helpers import paley_frame
 from kdframes import io
 from kdframes._jsontext import _DEDUP_MIN, _json_default, _json_text
 from kdframes.cli import (
+    _render_table,
     build_bounds_report,
     build_extremality_report,
     build_frame_check_report,
@@ -177,7 +178,21 @@ def in_process_reports(frame) -> list[dict]:
     return reports
 
 
+def numpy_scalars(node, path: str) -> list[str]:
+    """Paths of the numpy scalars (``np.generic``) under node."""
+    if isinstance(node, dict):
+        return [p for key, value in node.items() for p in numpy_scalars(value, f"{path}.{key}")]
+    if isinstance(node, (list, tuple)):
+        return [p for i, value in enumerate(node) for p in numpy_scalars(value, f"{path}[{i}]")]
+    return [path] if isinstance(node, np.generic) else []
+
+
 @pytest.mark.parametrize("frame", [sic_qubit(), paley_frame(7)], ids=["sic2", "paley7"])
 def test_report_arrays_stay_numpy_arrays(frame):
     reports = in_process_reports(frame) + [build_qubit_sic_report()[0]]
     assert [p for r in reports for p in numeric_lists(r, r["command"])] == []
+    # every scalar leaf is a Python value, so the table prints each flag as yes/no
+    assert [p for r in reports for p in numpy_scalars(r, r["command"])] == []
+    rows = [line.split() for r in reports for line in _render_table(r).splitlines()]
+    assert [row for row in rows if row[-1] in ("True", "False")] == []
+    assert ["tight", "yes"] in rows

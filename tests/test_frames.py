@@ -277,6 +277,9 @@ class TestMixturesAndPurity:
             frame_mixture(sic, [0.5, 0.5, 0.5, -0.5])
         with pytest.raises(ValueError):
             frame_mixture(sic, [0.5, 0.5])
+        # NaN compares False both ways, so it must not slip past either test
+        with pytest.raises(ValueError, match="weights must be non-negative and sum to 1"):
+            frame_mixture(sic, [np.nan, 0.0, 0.0, 1.0])
 
     def test_purity_examples(self):
         assert purity(DensityMatrix(np.eye(4) / 4)) == pytest.approx(0.25)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from helpers import paley_frame
 from kdframes import io
 from kdframes._jsontext import _json_default
 from kdframes.cli import build_qubit_sic_report, main
@@ -33,6 +34,11 @@ def sic_file(tmp_path):
 
 def invoke(runner, args, **kwargs):
     return runner.invoke(main, args, catch_exceptions=False, **kwargs)
+
+
+def reject_constant(name: str):
+    """``parse_constant`` hook of a strict parser: NaN and Infinity are not JSON."""
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 class TestFrameFiles:
@@ -120,11 +126,22 @@ class TestStateSpecs:
 
     @pytest.mark.parametrize(
         "spec",
-        ["bogus", "frame-state:9", "frame-state:x", "mixture:0.5,0.6", "mixture:a,b"],
+        [
+            "bogus",
+            "frame-state:9",
+            "frame-state:x",
+            "mixture:0.5,0.6",
+            "mixture:a,b",
+            "mixture:nan,0,0,1",
+        ],
     )
     def test_bad_specs(self, spec):
-        with pytest.raises(io.FrameFileError):
+        with pytest.raises(io.FrameFileError) as raised:
             io.resolve_state(spec, sic_qubit())
+        if spec == "mixture:nan,0,0,1":
+            # named as bad weights, not as a non-finite density matrix
+            message = "bad mixture weights: weights must be non-negative and sum to 1"
+            assert str(raised.value) == message
 
 
 class TestFrameCheckCommand:
@@ -207,10 +224,14 @@ class TestFrameCheckCommand:
             timeout=60,
         )
         assert result.returncode == 1
-        report = json.loads(result.stdout)
+        # no numpy warnings, and strict JSON: the overflowed fields print as null
+        assert result.stderr == "invariant failure: unit_norms, tight\n"
+        report = json.loads(result.stdout, parse_constant=reject_constant)
+        assert report["passed"] is False
         assert report["equiangular"] is False
         assert report["measured_c"] is None
-        assert result.stderr.splitlines()[-1] == "invariant failure: unit_norms, tight"
+        assert report["invariants"]["unit_norms"]["max_deviation"] is None
+        assert report["frame_operator_spectrum"] is None
 
 
 class TestFrameGenCommands:
@@ -343,6 +364,36 @@ class TestBoundsCommand:
         disk_radius = report["gershgorin"]["disks"][0]["radius"]
         assert interval_radius == pytest.approx(0.25, abs=1e-10)
         assert disk_radius == pytest.approx(0.25, abs=1e-10)
+
+    @pytest.mark.parametrize("state", ["maximally-mixed", "frame-state:0"])
+    @pytest.mark.parametrize("frame", [sic_qubit(), paley_frame(7)], ids=["sic2", "paley7"])
+    def test_tolerance_flags_govern_saturated_and_pass(self, runner, tmp_path, frame, state):
+        path = tmp_path / "frame.json"
+        io.dump_frame(frame, path)
+        args = ["bounds", str(path), "--state", state, "--alphas", "0.5,1,2,5,inf"]
+        # saturated is |slack| <= saturation: every row at inf, slack == 0 exactly at 0
+        for flags, saturation, numeric in (
+            ([], 1e-8, 1e-10),
+            (["--tol-saturation", "inf"], np.inf, 1e-10),
+            (["--tol-saturation", "0"], 0.0, 1e-10),
+            (["--tol-numeric", "inf"], 1e-8, np.inf),
+        ):
+            result = invoke(runner, args + flags + ["--format", "json"])
+            assert result.exit_code == 0
+            report = json.loads(result.stdout)
+            ic = report["index_of_coincidence"]
+            # an upper bound: slack is bound - achieved
+            assert ic["slack"] == ic["bound"] - ic["achieved"]
+            assert ic["saturated"] is (abs(ic["slack"]) <= saturation)
+            assert report["checks"]["ic_bound"] is (ic["slack"] >= -numeric)
+            rows = report["renyi"] + report["tsallis"]
+            assert [row["alpha"] for row in rows] == ["2", "5", "inf", "0.5", "1", "2"]
+            for row in rows:
+                # lower bounds: slack is the smaller achieved entropy - bound
+                achieved = min(row["achieved"], row["achieved_extremal"])
+                assert row["slack"] == achieved - row["bound"]
+                assert row["saturated"] is (abs(row["slack"]) <= saturation)
+                assert row["pass"] is (row["slack"] >= -numeric)
 
     def test_bad_alpha_list_exit_two(self, runner, sic_file):
         result = runner.invoke(main, ["bounds", sic_file, "--alphas", "2,-1"])

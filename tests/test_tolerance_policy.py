@@ -1,7 +1,7 @@
 """Lint for the tolerance policy: the --tol-* flags govern the checks a report
 prints, and every other guard uses one of the three constants in linalg.
 
-The library keeps five float tolerance keywords, each set by some caller;
+The library keeps three float tolerance keywords, each set by some caller;
 anything else that needs a tolerance reads STRUCTURAL_TOL, NUMERIC_TOL or
 SATURATION_TOL, and no tolerance is written out as a literal.
 """
@@ -14,8 +14,6 @@ ALLOWED_KEYWORDS = {
     "Frame.__post_init__(norm_tol)",
     "is_tight(tol)",
     "is_equiangular(tol)",
-    "BoundReport.upper(tol)",
-    "BoundReport.lower(tol)",
 }
 CONSTANTS = {"STRUCTURAL_TOL", "NUMERIC_TOL", "SATURATION_TOL"}
 
@@ -35,7 +33,7 @@ def _functions(node, prefix=""):
             yield from _functions(child, f"{prefix}{child.name}.")
 
 
-def test_tolerance_keywords_are_the_five_allowed():
+def test_tolerance_keywords_are_the_three_allowed():
     found = set()
     for _, tree in _modules():
         for name, function in _functions(tree):
