@@ -24,7 +24,6 @@ from .bounds import (
     gershgorin_disks,
     gershgorin_union,
     ic_upper_bound,
-    max_eig_upper_bound,
     renyi_uncertainty_bound,
     tsallis_uncertainty_bound,
 )
@@ -516,107 +515,74 @@ def build_extremality_report(
 
 
 def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> tuple[dict, list[str]]:
-    """Run every check of the built-in qubit tetrahedron example."""
+    """Check the paper's qubit tetrahedron figures against the kd and bounds reports.
+
+    Each check reads a value off ``build_kd_report`` or ``build_bounds_report``
+    of ``sic_qubit()`` at the maximally mixed state and at frame state 0 and
+    passes when |actual - expected| <= tolerance elementwise; complex
+    matrices compare as [re, im] pairs. The inner reports run at the default
+    tolerances, and no value read here depends on them, so ``tol`` governs
+    the nine checks only: passed through, ``--tol-numeric 0`` would have the
+    tightness guard reject the SIC and no report would print.
+    """
     frame = sic_qubit()
     n, d = frame.n, frame.d
     c = coherence_constant(n, d)
-    checks: list[dict] = []
 
-    def add(name: str, ok: bool, **info) -> None:
-        entry = {"name": name, "pass": bool(ok)}
-        entry.update(info)
-        checks.append(entry)
+    def reports(spec: str) -> tuple[dict, dict]:
+        rho = io.resolve_state(spec, frame)
+        return build_kd_report(frame, rho, spec)[0], build_bounds_report(frame, rho, spec, [])[0]
 
-    rho_star = DensityMatrix(np.eye(d) / d)
-    gram_star = frame_gram(frame, rho_star)
-    expected_star = ((1.0 - c) * np.eye(n) + c * np.ones((n, n))) / n
-    deviation = float(np.abs(gram_star - expected_star).max())
-    add("mixed-state gram matrix", deviation <= tol.structural, max_deviation=deviation)
+    kd_mixed, bounds_mixed = reports("maximally-mixed")
+    kd_pure, bounds_pure = reports("frame-state:0")
+    interval, gershgorin = bounds_pure["eigen_interval"], bounds_pure["gershgorin"]
 
-    radius_expected = (n - 1) * c / n
-    _, radii = gershgorin_disks(gram_star)
-    deviation = float(np.abs(radii - radius_expected).max())
-    add(
-        "mixed-state gershgorin radius 1/4",
-        deviation <= tol.structural,
-        expected=radius_expected,
-        max_deviation=deviation,
-    )
-
-    closed_form_a = (d * d - 2 * d + n) / ((n - 1) * d * d)
-    closed_form_b = (1.0 + (n - 1) * c * c) / n
-    actual = float(np.vdot(gram_star, gram_star).real)
-    add(
-        "mixed-state squared Frobenius norm, two closed forms agree",
-        abs(closed_form_a - closed_form_b) <= tol.structural
-        and abs(actual - closed_form_a) <= tol.numeric,
-        closed_form_a=closed_form_a,
-        closed_form_b=closed_form_b,
-        actual=actual,
-    )
-
-    ket = frame.vectors[0]
-    rho_pure = DensityMatrix(np.outer(ket, ket.conj()))
-    gram_pure = frame_gram(frame, rho_pure)
-    s3 = 1.0 / np.sqrt(3.0)
-    expected_pure = (
-        np.array(
-            [
-                [3.0, 1.0, 1.0, 1.0],
-                [1.0, 1.0, 1j * s3, -1j * s3],
-                [1.0, -1j * s3, 1.0, 1j * s3],
-                [1.0, 1j * s3, -1j * s3, 1.0],
-            ],
-            dtype=complex,
+    w = 1j / np.sqrt(3.0)
+    gram_pure = np.array([[3, 1, 1, 1], [1, 1, w, -w], [1, -w, 1, w], [1, w, -w, 1]]) / 6.0
+    gram_mixed = ((1.0 - c) * np.eye(n) + c * np.ones((n, n))) / n
+    pairs_pure, pairs_mixed = io.complex_to_pairs(gram_pure), io.complex_to_pairs(gram_mixed)
+    frobenius = float(np.vdot(kd_mixed["gram"], kd_mixed["gram"]))
+    frobenius_a = (d * d - 2 * d + n) / ((n - 1) * d * d)
+    frobenius_b = (1.0 + (n - 1) * c * c) / n
+    radii = np.array([disk["radius"] for disk in bounds_mixed["gershgorin"]["disks"]])
+    bound = interval["max_eig_bound"]
+    # "below 0.729" is one-sided: a bound at or above it meets no tolerance
+    bound_tol = tol.structural if bound < 0.729 else -np.inf
+    root = float(np.sqrt(11.0 / 3.0))
+    radius = etf_eigen_interval(n, d, bounds_pure["purity"]).radius
+    union = np.array([gershgorin["union_lower"], gershgorin["union_upper"]])
+    errors = np.array([interval["relative_error_vs_max"], gershgorin["relative_error_vs_max"]])
+    # check name -> (value read off a report, the paper's value, tolerance)
+    rows = {
+        "mixed-state gram matrix": (kd_mixed["gram"], pairs_mixed, tol.structural),
+        "mixed-state gershgorin radius 1/4": (radii, (n - 1) * c / n, tol.structural),
+        # ||G||^2 and closed form b, each against closed form a
+        "mixed-state squared Frobenius norm, two closed forms agree": (
+            np.array([frobenius, frobenius_b]), frobenius_a, np.array([tol.numeric, tol.structural])
+        ),
+        "pure-frame-state gram matrix": (kd_pure["gram"], pairs_pure, tol.structural),
+        "pure-frame-state spectrum (2/3, 1/3, 0, 0)": (
+            kd_pure["gram_spectrum"], np.array([2.0 / 3.0, 1.0 / 3.0, 0.0, 0.0]), tol.numeric
+        ),
+        "largest-eigenvalue bound (1 + sqrt(11/3))/4 below 0.729": (
+            bound, (1.0 + root) / 4.0, bound_tol
+        ),
+        "purity-based interval radius sqrt(11/3)/4": (radius, root / 4.0, tol.structural),
+        "gershgorin union [0, 1]": (union, np.array([0.0, 1.0]), tol.numeric),
+        "relative errors about 9.3% and 50%": (errors, np.array([0.093, 0.5]), 1e-3),
+    }
+    checks = []
+    for name, (actual, expected, tolerance) in rows.items():
+        deviation = np.abs(np.subtract(actual, expected))
+        checks.append(
+            {
+                "name": name,
+                "pass": bool(np.all(deviation <= tolerance)),
+                "actual": actual,
+                "expected": expected,
+                "max_deviation": float(np.max(deviation)),
+            }
         )
-        / 6.0
-    )
-    deviation = float(np.abs(gram_pure - expected_pure).max())
-    add("pure-frame-state gram matrix", deviation <= tol.structural, max_deviation=deviation)
-
-    spectrum = hermitian_eigvals(gram_pure)
-    target = np.array([2.0 / 3.0, 1.0 / 3.0, 0.0, 0.0])
-    deviation = float(np.abs(spectrum - target).max())
-    add(
-        "pure-frame-state spectrum (2/3, 1/3, 0, 0)",
-        deviation <= tol.numeric,
-        eigenvalues=spectrum,
-        max_deviation=deviation,
-    )
-
-    bound = max_eig_upper_bound(gram_pure)
-    closed_bound = (1.0 + float(np.sqrt(11.0 / 3.0))) / 4.0
-    add(
-        "largest-eigenvalue bound (1 + sqrt(11/3))/4 below 0.729",
-        abs(bound - closed_bound) <= tol.structural and bound < 0.729,
-        bound=bound,
-        closed_form=closed_bound,
-    )
-
-    radius = etf_eigen_interval(n, d, 1.0).radius
-    add(
-        "purity-based interval radius sqrt(11/3)/4",
-        abs(radius - np.sqrt(11.0 / 3.0) / 4.0) <= tol.structural,
-        radius=radius,
-    )
-
-    union = gershgorin_union(gram_pure)
-    add(
-        "gershgorin union [0, 1]",
-        abs(union.upper - 1.0) <= tol.numeric and union.lower <= tol.numeric,
-        lower=union.lower,
-        upper=union.upper,
-    )
-
-    true_max = float(spectrum[0])
-    relative_new = _relative_error(bound, true_max)
-    relative_gershgorin = _relative_error(union.upper, true_max)
-    add(
-        "relative errors about 9.3% and 50%",
-        abs(relative_new - 0.093) <= 1e-3 and abs(relative_gershgorin - 0.5) <= 1e-3,
-        interval_bound_error=relative_new,
-        gershgorin_error=relative_gershgorin,
-    )
 
     failures = [entry["name"] for entry in checks if not entry["pass"]]
     report = {
@@ -625,8 +591,8 @@ def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> tuple[dict, list[s
         "d": d,
         "coherence": c,
         "checks": checks,
-        "gram_mixed": io.complex_to_pairs(gram_star),
-        "gram_pure": io.complex_to_pairs(gram_pure),
+        "gram_mixed": kd_mixed["gram"],
+        "gram_pure": kd_pure["gram"],
         "tolerances": tol.as_dict(),
         "passed": not failures,
     }

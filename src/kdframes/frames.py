@@ -59,7 +59,9 @@ class Frame:
             raise ValueError("ambient dimension must be at least 1")
         if n < d:
             raise ValueError(f"a frame needs n >= d vectors, got n={n} < d={d}")
-        worst = float(np.abs(np.linalg.norm(v, axis=1) - 1.0).max())
+        # finite entries can overflow (1e200 squares to inf): the deviation is then inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            worst = float(np.abs(np.linalg.norm(v, axis=1) - 1.0).max())
         if worst > norm_tol:
             raise ValueError(
                 f"frame vectors must be unit kets: max | ||v|| - 1 | = {worst:.3e}"
@@ -193,9 +195,10 @@ def frame_mixture(f: Frame, weights) -> DensityMatrix:
     w = np.asarray(weights, dtype=float).ravel()
     if w.shape != (f.n,):
         raise ValueError(f"need {f.n} weights, got {w.shape}")
-    # `not >=` and `not <=` also reject NaN weights
-    if not (w.min() >= -STRUCTURAL_TOL and abs(w.sum() - 1.0) <= STRUCTURAL_TOL):
-        raise ValueError("weights must be non-negative and sum to 1")
+    # `not >=` and `not <=` also reject NaN weights, and weights whose sum overflows
+    with np.errstate(over="ignore"):
+        if not (w.min() >= -STRUCTURAL_TOL and abs(w.sum() - 1.0) <= STRUCTURAL_TOL):
+            raise ValueError("weights must be non-negative and sum to 1")
     rho = np.einsum("j,ja,jb->ab", w, f.vectors, f.vectors.conj())
     return DensityMatrix(rho)
 

@@ -7,6 +7,9 @@ exactly the stdlib's ``json.dumps(report, indent=2)``. After a deliberate
 change of a report, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden_reports.py
+
+which rewrites only the files that are missing or no longer match, and
+prints their case names.
 """
 
 import json
@@ -62,13 +65,16 @@ def run_case(args: list[str], frame_dir: Path) -> dict:
     return {"args": args, "exit_code": result.exit_code, "report": json.loads(result.stdout)}
 
 
-@pytest.mark.parametrize("case", sorted(golden_cases()))
-def test_report_matches_golden(case, tmp_path):
-    golden = json.loads((GOLDEN_DIR / f"{case}.json").read_text())
-    actual = run_case(golden_cases()[case], tmp_path)
+def assert_matches_golden(actual: dict, golden: dict) -> None:
     assert actual["args"] == golden["args"]
     assert actual["exit_code"] == golden["exit_code"]
     assert_same(actual["report"], golden["report"], "report")
+
+
+@pytest.mark.parametrize("case", sorted(golden_cases()))
+def test_report_matches_golden(case, tmp_path):
+    golden = json.loads((GOLDEN_DIR / f"{case}.json").read_text())
+    assert_matches_golden(run_case(golden_cases()[case], tmp_path), golden)
 
 
 @pytest.mark.parametrize("case", sorted(golden_cases()))
@@ -117,4 +123,11 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         for case, args in golden_cases().items():
             document = run_case(args, Path(scratch))
-            (GOLDEN_DIR / f"{case}.json").write_text(json.dumps(document, indent=1) + "\n")
+            path = GOLDEN_DIR / f"{case}.json"
+            try:
+                assert_matches_golden(document, json.loads(path.read_text()))
+                continue
+            except (FileNotFoundError, AssertionError):
+                pass
+            path.write_text(json.dumps(document, indent=1) + "\n")
+            print(f"rewrote {case}")

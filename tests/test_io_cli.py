@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from helpers import paley_frame
-from kdframes import io
+from kdframes import cli, io
 from kdframes._jsontext import _json_default
 from kdframes.cli import build_qubit_sic_report, main
 from kdframes.frames import DensityMatrix, Frame, orthonormal_frame, purity, sic_qubit
@@ -79,6 +79,23 @@ class TestFrameFiles:
             io.load_frame(path)
         assert not isinstance(err.value, io.FrameFileError)
 
+    @pytest.mark.parametrize(
+        "command",
+        [["kd"], ["bounds"], ["verify-extremality"], ["frame", "gen", "complement"]],
+        ids=" ".join,
+    )
+    def test_overflowing_entries_fail_the_unit_norm_invariant(self, runner, tmp_path, command):
+        # 1e200 squares to inf: one line on stderr and no numpy overflow warning,
+        # which this suite's warning filter would raise
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"d": 2, "n": 3, "vectors": [[[1e200, 0.0], [0.0, 0.0]]] * 3}))
+        result = invoke(runner, command + [str(path)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            "invariant failure: frame vectors must be unit kets: max | ||v|| - 1 | = inf\n"
+        )
+
 
 BAD_SIZES = {"null": None, "list": [2], "string": "x", "float": 4.7, "bool": True}
 
@@ -133,13 +150,14 @@ class TestStateSpecs:
             "mixture:0.5,0.6",
             "mixture:a,b",
             "mixture:nan,0,0,1",
+            "mixture:1e308,1e308,0,0",
         ],
     )
     def test_bad_specs(self, spec):
         with pytest.raises(io.FrameFileError) as raised:
             io.resolve_state(spec, sic_qubit())
-        if spec == "mixture:nan,0,0,1":
-            # named as bad weights, not as a non-finite density matrix
+        if spec in ("mixture:nan,0,0,1", "mixture:1e308,1e308,0,0"):
+            # named as bad weights, not as a non-finite density matrix or an overflowed sum
             message = "bad mixture weights: weights must be non-negative and sum to 1"
             assert str(raised.value) == message
 
@@ -555,18 +573,68 @@ def test_state_help_lists_the_four_forms(runner, command):
     assert "maximally-mixed | frame-state:<j> | mixture:<w,...> | matrix:<path>" in help_text
 
 
+QUBIT_SIC_CHECKS = [
+    "mixed-state gram matrix",
+    "mixed-state gershgorin radius 1/4",
+    "mixed-state squared Frobenius norm, two closed forms agree",
+    "pure-frame-state gram matrix",
+    "pure-frame-state spectrum (2/3, 1/3, 0, 0)",
+    "largest-eigenvalue bound (1 + sqrt(11/3))/4 below 0.729",
+    "purity-based interval radius sqrt(11/3)/4",
+    "gershgorin union [0, 1]",
+    "relative errors about 9.3% and 50%",
+]
+
+
+def _planted(build, leaf: tuple[str, ...]):
+    """``build`` with the report leaf at that key path shifted by 1e-9 at frame-state:0."""
+
+    def wrapper(frame, rho, state_spec, *args):
+        report, failures = build(frame, rho, state_spec, *args)
+        if state_spec == "frame-state:0":
+            *parents, key = leaf
+            node = report
+            for parent in parents:
+                node = node[parent]
+            node[key] = node[key] + 1e-9
+        return report, failures
+
+    return wrapper
+
+
 class TestReproduceCommand:
     def test_all_checks_pass(self, runner):
         result = invoke(runner, ["reproduce", "qubit-sic", "--format", "json"])
         assert result.exit_code == 0
         report = json.loads(result.stdout)
         assert report["passed"] is True
+        assert [entry["name"] for entry in report["checks"]] == QUBIT_SIC_CHECKS
+        for entry in report["checks"]:
+            assert list(entry) == ["name", "pass", "actual", "expected", "max_deviation"]
         by_name = {entry["name"]: entry for entry in report["checks"]}
         spectrum_entry = by_name["pure-frame-state spectrum (2/3, 1/3, 0, 0)"]
-        assert spectrum_entry["eigenvalues"] == pytest.approx([2 / 3, 1 / 3, 0, 0], abs=1e-10)
+        assert spectrum_entry["actual"] == pytest.approx([2 / 3, 1 / 3, 0, 0], abs=1e-10)
         bound_entry = by_name["largest-eigenvalue bound (1 + sqrt(11/3))/4 below 0.729"]
-        assert bound_entry["bound"] == pytest.approx((1 + np.sqrt(11 / 3)) / 4, abs=1e-12)
-        assert bound_entry["bound"] < 0.729
+        assert bound_entry["actual"] == pytest.approx((1 + np.sqrt(11 / 3)) / 4, abs=1e-12)
+        assert bound_entry["actual"] < 0.729
+
+    @pytest.mark.parametrize(
+        "builder, leaf, failed",
+        [
+            (
+                "build_bounds_report",
+                ("eigen_interval", "max_eig_bound"),
+                "largest-eigenvalue bound (1 + sqrt(11/3))/4 below 0.729",
+            ),
+            ("build_kd_report", ("gram",), "pure-frame-state gram matrix"),
+        ],
+        ids=["bounds", "kd"],
+    )
+    def test_planted_leaf_error_fails_its_check(self, monkeypatch, builder, leaf, failed):
+        # the checks read the reports users get: an error in one leaf fails one check
+        monkeypatch.setattr(f"kdframes.cli.{builder}", _planted(getattr(cli, builder), leaf))
+        _, failures = build_qubit_sic_report()
+        assert failures == [failed]
 
     def test_deterministic_output(self, runner):
         first = invoke(runner, ["reproduce", "qubit-sic", "--format", "json"])
