@@ -4,24 +4,22 @@
 For each built-in frame and a grid of random states, prints the true
 largest Gram eigenvalue next to the trace/Frobenius interval bound, the
 closed-form purity bound and the Gershgorin union bound. The last column
-shows which estimate is tighter at that state.
+shows which estimate is tighter at that state. Every column is read off
+the report that ``kdf bounds`` prints, built by ``build_bounds_report``.
 """
 
 import argparse
 
 import numpy as np
 
-from kdframes.bounds import etf_spectral_bound, gershgorin_union, max_eig_upper_bound
-from kdframes.channels import frame_gram
+from kdframes.cli import build_bounds_report
 from kdframes.frames import (
     coherence_constant,
     complement_etf,
     orthonormal_frame,
-    purity,
     random_density_matrix,
     sic_qubit,
 )
-from kdframes.linalg import hermitian_eigvals
 
 
 def scan(frame, name: str, states: int, seed: int) -> None:
@@ -30,14 +28,14 @@ def scan(frame, name: str, states: int, seed: int) -> None:
     print(f"{'purity':>8} {'true max':>10} {'interval':>10} {'closed':>10} {'gershgorin':>11}  winner")
     for k in range(states):
         rho = random_density_matrix(d, np.random.default_rng([seed, k]))
-        gram = frame_gram(frame, rho)
-        true_max = hermitian_eigvals(gram)[0]
-        interval_bound = max_eig_upper_bound(gram)
-        closed_bound = etf_spectral_bound(n, d, purity(rho))
-        gershgorin_bound = gershgorin_union(gram).upper
+        report, _ = build_bounds_report(frame, rho, f"ginibre:{seed},{k}", [])
+        true_max = report["true_spectrum"][0]
+        interval_bound = report["eigen_interval"]["max_eig_bound"]
+        closed_bound = report["closed_form_interval"]["spectral_bound"]
+        gershgorin_bound = report["gershgorin"]["union_upper"]
         winner = "interval" if interval_bound <= gershgorin_bound else "gershgorin"
         print(
-            f"{purity(rho):8.4f} {true_max:10.6f} {interval_bound:10.6f} "
+            f"{report['purity']:8.4f} {true_max:10.6f} {interval_bound:10.6f} "
             f"{closed_bound:10.6f} {gershgorin_bound:11.6f}  {winner}"
         )
 

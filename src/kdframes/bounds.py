@@ -22,7 +22,6 @@ from .linalg import (
     STRUCTURAL_TOL,
     as_complex_matrix,
     require_hermitian,
-    require_psd,
 )
 
 
@@ -127,17 +126,6 @@ def singular_interval(x) -> Interval:
     n = s.size
     trace_norm = float(s.sum())
     return _trace_interval(n, trace_norm, n * float(np.sum(s * s)) - trace_norm * trace_norm)
-
-
-def max_eig_upper_bound(m) -> float:
-    """Upper bound (||m||_1 + sqrt(n-1) sqrt(n ||m||_F^2 - ||m||_1^2)) / n on
-    the largest eigenvalue of a PSD matrix: eigen_interval(m).upper, as ||m||_1 = tr m.
-
-    Exact iff the other n - 1 eigenvalues are all equal.
-    """
-    m = require_hermitian(m)
-    require_psd(m)
-    return eigen_interval(m).upper
 
 
 def gershgorin_disks(m) -> tuple[np.ndarray, np.ndarray]:

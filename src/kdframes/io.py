@@ -78,12 +78,14 @@ def frame_from_dict(data) -> Frame:
 
 def load_json(path) -> dict:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise FrameFileError(f"cannot read {path}: {exc}") from None
+    # JSON files are UTF-8 whatever the locale (RFC 8259); the decoder recurses
+    # once per nesting level, so a deep enough file exhausts the stack.
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FrameFileError(f"{path} is not valid JSON: {exc}") from None
 
 

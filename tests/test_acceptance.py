@@ -21,7 +21,6 @@ from kdframes.bounds import (
     gershgorin_union,
     gram_frobenius_sq,
     ic_upper_bound,
-    max_eig_upper_bound,
     pure_state_margin,
     renyi_uncertainty_bound,
     singular_interval,
@@ -77,7 +76,7 @@ def test_criterion_2_spectral_bound_comparison(sic):
     gram = unraveling_gram(principal_kraus(sic), pure_frame_state(sic))
     true_max = float(hermitian_eigvals(gram)[0])
 
-    bound = max_eig_upper_bound(gram)
+    bound = eigen_interval(gram).upper
     closed_form = (1.0 + np.sqrt(11.0 / 3.0)) / 4.0
     assert abs(bound - closed_form) <= 1e-12
     assert bound < 0.729
@@ -269,7 +268,7 @@ def test_criterion_7_eigenvalue_location():
             worst_singular = min(worst_singular, sinterval.slack(float(value)))
         psd = general @ general.conj().T
         worst_max = min(
-            worst_max, max_eig_upper_bound(psd) - float(np.linalg.eigvalsh(psd)[-1])
+            worst_max, eigen_interval(psd).upper - float(np.linalg.eigvalsh(psd)[-1])
         )
     assert worst_eig >= -1e-10
     assert worst_singular >= -1e-10
@@ -281,7 +280,6 @@ def test_criterion_7_eigenvalue_location():
         rng = state_rng(70, n)
         m = spectrum_with_equal_tail(2.0, 0.5, n, rng)
         worst_saturation = max(worst_saturation, abs(eigen_interval(m).upper - 2.0))
-        worst_saturation = max(worst_saturation, abs(max_eig_upper_bound(m) - 2.0))
         x = np.diag([3.0] + [1.0] * (n - 1)).astype(complex)
         worst_saturation = max(worst_saturation, abs(singular_interval(x).upper - 3.0))
     assert worst_saturation <= 1e-10

@@ -21,7 +21,6 @@ from kdframes.bounds import (
     gram_frobenius_sq,
     ic_upper_bound,
     kd_frobenius_norm,
-    max_eig_upper_bound,
     pure_state_margin,
     renyi_uncertainty_bound,
     singular_interval,
@@ -188,20 +187,16 @@ class TestSingularInterval:
 
 class TestMaxEigUpperBound:
     def test_identity(self):
-        assert max_eig_upper_bound(np.eye(3)) == pytest.approx(1.0)
+        assert eigen_interval(np.eye(3)).upper == pytest.approx(1.0)
 
     def test_equal_tail_saturation(self):
         m = spectrum_with_equal_tail(3.0, 1.0, 6, rng_for(5))
-        assert max_eig_upper_bound(m) == pytest.approx(3.0, abs=1e-10)
+        assert eigen_interval(m).upper == pytest.approx(3.0, abs=1e-10)
 
     def test_sic_pure_gram_value(self, sic):
-        bound = max_eig_upper_bound(sic_pure_gram(sic))
+        bound = eigen_interval(sic_pure_gram(sic)).upper
         assert bound == pytest.approx((1.0 + np.sqrt(11.0 / 3.0)) / 4.0, abs=1e-12)
         assert 2.0 / 3.0 <= bound < 0.729
-
-    def test_non_psd_rejected(self):
-        with pytest.raises(ValueError):
-            max_eig_upper_bound(np.diag([1.0, -0.5]).astype(complex))
 
     @settings(deadline=None)
     @given(seed=seeds, n=st.integers(2, 7))
@@ -209,7 +204,7 @@ class TestMaxEigUpperBound:
         rng = rng_for(seed)
         g = random_complex_matrix(n, n, rng)
         m = g @ g.conj().T
-        assert max_eig_upper_bound(m) >= float(np.linalg.eigvalsh(m)[-1]) - 1e-10
+        assert eigen_interval(m).upper >= float(np.linalg.eigvalsh(m)[-1]) - 1e-10
 
 
 class TestGershgorin:

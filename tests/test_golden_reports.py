@@ -9,7 +9,8 @@ change of a report, regenerate the files with
     PYTHONPATH=src python tests/test_golden_reports.py
 
 which rewrites only the files that are missing or no longer match, and
-prints their case names.
+prints their case names. It does the same for ``bound-comparison.txt``, the
+stdout that ``tests/test_scripts.py`` pins for ``scripts/bound_comparison.py``.
 """
 
 import json
@@ -131,3 +132,12 @@ if __name__ == "__main__":
                 pass
             path.write_text(json.dumps(document, indent=1) + "\n")
             print(f"rewrote {case}")
+
+    from test_scripts import BOUND_COMPARISON_GOLDEN, run_bound_comparison
+
+    result = run_bound_comparison()
+    if result.returncode != 0:
+        raise SystemExit(result.stderr)
+    if not BOUND_COMPARISON_GOLDEN.exists() or BOUND_COMPARISON_GOLDEN.read_text() != result.stdout:
+        BOUND_COMPARISON_GOLDEN.write_text(result.stdout)
+        print(f"rewrote {BOUND_COMPARISON_GOLDEN.stem}")

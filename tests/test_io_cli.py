@@ -119,6 +119,41 @@ class TestFrameFileSizeFields:
         )
 
 
+# Files no JSON parser can read: bytes that are not UTF-8, and nesting deeper
+# than the decoder's recursion limit.
+UNREADABLE_JSON = {
+    "not-utf8": b'{"d": 2, "n": 4, "vectors": [\xff]}',
+    "too-deep": b"[" * 100_000,
+}
+
+
+class TestUnreadableJson:
+    """An unreadable frame or state file is unusable input, named on one line."""
+
+    @pytest.mark.parametrize("content", list(UNREADABLE_JSON.values()), ids=list(UNREADABLE_JSON))
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["frame", "check", "{bad}"],
+            ["kd", "{bad}"],
+            ["bounds", "{bad}"],
+            ["verify-extremality", "{bad}", "--samples", "2"],
+            ["frame", "gen", "complement", "{bad}"],
+            ["kd", "{sic}", "--state", "matrix:{bad}"],
+        ],
+        ids=" ".join,
+    )
+    def test_exit_two_naming_the_file(self, runner, sic_file, tmp_path, command, content):
+        bad = tmp_path / "unreadable.json"
+        bad.write_bytes(content)
+        args = [arg.format(bad=bad, sic=sic_file) for arg in command]
+        result = invoke(runner, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"Error: {bad} is not valid JSON: ")
+        assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+
+
 class TestStateSpecs:
     def test_maximally_mixed(self):
         rho = io.resolve_state("maximally-mixed", sic_qubit())
