@@ -12,7 +12,6 @@ entropies of any unraveling of that channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -201,10 +200,11 @@ def pure_state_margin(n: int, d: int) -> float:
 
     Zero exactly at n = d and positive for every n > d once d >= 2, which
     is what keeps the spectral bound for pure frame states below 1.
-    Evaluated in exact rational arithmetic so the root at n = d is exact.
+    The numerator is an exact integer and one int division rounds it
+    correctly, so the root at n = d is exact.
     """
     if d < 2:
         raise ValueError(f"margin defined for d >= 2, got d={d}")
     if n < d:
         raise ValueError(f"need n >= d, got n={n} < d={d}")
-    return float(Fraction((d - 1) * n * n, d) - n - d * d + 2 * d)
+    return ((d - 1) * n * n - d * (n + d * d - 2 * d)) / d

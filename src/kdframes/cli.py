@@ -6,11 +6,13 @@ extremality Monte Carlo and reproduce the built-in qubit-SIC example.
 
 Reports are JSON on stdout; a human-readable table is added on stderr when
 stderr is a terminal, and ``--format`` forces a single output. Exit codes:
-0 success, 1 failed check or invariant, 2 unusable input.
+0 success, 1 failed check or invariant, 2 unusable input or unwritable output.
 """
 
 from __future__ import annotations
 
+import errno
+import os
 import sys
 
 import click
@@ -51,7 +53,7 @@ from .linalg import (
 
 
 class InputError(click.ClickException):
-    """Unusable input (parse or schema failure): exit code 2."""
+    """Unusable input (parse or schema failure) or unwritable output: exit code 2."""
 
     exit_code = 2
 
@@ -130,11 +132,24 @@ def _render_table(report: dict) -> str:
     return "\n".join(f"{key:<{width}}  {value}" for key, value in lines)
 
 
+def _echo(text: str) -> None:
+    """Write a line on stdout; a write that fails other than by a broken pipe
+    is unusable output (exit 2). A broken pipe is left to click."""
+    try:
+        click.echo(text)
+    except OSError as exc:
+        if exc.errno == errno.EPIPE:
+            raise
+        # Drop what stays buffered, or the flush at exit fails a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise InputError(f"cannot write stdout: {exc}") from None
+
+
 def _emit(report: dict, fmt: str | None) -> None:
     if fmt == "table":
-        click.echo(_render_table(report))
+        _echo(_render_table(report))
         return
-    click.echo(_json_text(report))
+    _echo(_json_text(report))
     if fmt is None and sys.stderr.isatty():
         click.echo(_render_table(report), err=True)
 
@@ -165,7 +180,7 @@ def _write_frame(f: Frame, output) -> None:
     if output:
         _call_io(io.dump_frame, f, output)
     else:
-        click.echo(_json_text(io.frame_to_dict(f)))
+        _echo(_json_text(io.frame_to_dict(f)))
 
 
 def _call_io(call, *args):
@@ -436,7 +451,6 @@ def build_extremality_report(
     samples: int,
     seed: int,
     alphas: list[float],
-    identity: bool = False,
     tol: Tolerances = Tolerances(),
 ) -> tuple[dict, list[str]]:
     """Monte Carlo over re-unravelings: minimum entropy slack vs. the extremal one.
@@ -447,16 +461,14 @@ def build_extremality_report(
     G. The unitaries V are drawn and mixed in stacks of at most
     _HAAR_CHUNK_BYTES, and the entropies of up to _SAMPLE_BLOCK samples are
     evaluated together. Tsallis rows are given at every finite order asked
-    for; Renyi rows only at the orders asked for with alpha <= 1 or
-    alpha = 2, plus alpha = inf always. Every Renyi order is
-    Schur-concave, so the other orders would hold too; they get no row.
+    for, Renyi rows at every order asked for plus alpha = inf.
     """
     _require_tight(frame, tol)
     gram = frame_gram(frame, rho)
     extremal_probs = _clamp_zeros(hermitian_eigvals(gram), tol)
     orders = {
         "tsallis": [a for a in alphas if np.isfinite(a)],
-        "renyi": sorted({a for a in alphas if a <= 1.0 or a == 2.0} | {np.inf}),
+        "renyi": sorted({*alphas, np.inf}),
     }
     # family -> order -> extremal entropy and least sampled slack above it
     table = {
@@ -471,9 +483,7 @@ def build_extremality_report(
     chunk = max(1, _HAAR_CHUNK_BYTES // (np.dtype(complex).itemsize * n * n))
 
     def mixing(start: int, stop: int) -> np.ndarray:
-        """The (stop - start, n, n) stack of mixing matrices of those samples."""
-        if identity:
-            return np.broadcast_to(np.eye(n), (stop - start, n, n))
+        """The (stop - start, n, n) stack of Haar unitaries of those samples."""
         return haar_unitary(n, [np.random.default_rng([seed, i]) for i in range(start, stop)])
 
     for start in range(0, samples, _SAMPLE_BLOCK):
@@ -502,7 +512,6 @@ def build_extremality_report(
         "state": state_spec,
         "samples": samples,
         "seed": seed,
-        "identity_mixing": identity,
         "extremal_probabilities": extremal_probs,
         **{
             family: {_alpha_key(a): row for a, row in rows.items()}
@@ -680,26 +689,16 @@ def bounds_command(frame_file, state_spec, alphas, fmt, tol: Tolerances) -> None
     type=click.IntRange(min=0),
     default=0,
     show_default=True,
-    envvar="KDF_SEED",
-    help="RNG seed; falls back to the KDF_SEED environment variable.",
-)
-@click.option(
-    "--identity",
-    is_flag=True,
-    help="Use the identity mixing matrix for every sample instead of Haar draws.",
+    help="RNG seed.",
 )
 @click.option("--alphas", default="0.5,1,2,5", show_default=True)
 @report_options
-def verify_extremality(
-    frame_file, state_spec, samples, seed, identity, alphas, fmt, tol: Tolerances
-) -> None:
+def verify_extremality(frame_file, state_spec, samples, seed, alphas, fmt, tol: Tolerances) -> None:
     """Check that the extremal unraveling minimizes the sampled entropies."""
     loaded = _load_frame(frame_file)
     rho = _call_io(io.resolve_state, state_spec, loaded)
     orders = _parse_alphas(alphas)
-    _finish(
-        fmt, build_extremality_report, loaded, rho, state_spec, samples, seed, orders, identity, tol
-    )
+    _finish(fmt, build_extremality_report, loaded, rho, state_spec, samples, seed, orders, tol)
 
 
 @main.group("reproduce")

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -464,6 +465,13 @@ class TestPureStateMargin:
     def test_domain(self):
         with pytest.raises(ValueError):
             pure_state_margin(3, 1)
+
+    def test_equals_the_exact_rational_rounded_once(self):
+        """Bit for bit the float of the exact rational margin, root at n = d included."""
+        for d in range(2, 60):
+            for n in [*range(d, d + 60), d * d, d * d + 1, 10**6 + d]:
+                exact = Fraction((d - 1) * n * n, d) - n - d * d + 2 * d
+                assert pure_state_margin(n, d) == float(exact), (n, d)
 
 
 class TestReportTypes:

@@ -12,7 +12,7 @@ from helpers import paley_frame
 from kdframes import cli, io
 from kdframes._jsontext import _json_default
 from kdframes.cli import build_qubit_sic_report, main
-from kdframes.frames import DensityMatrix, Frame, orthonormal_frame, purity, sic_qubit
+from kdframes.frames import Frame, orthonormal_frame, purity, sic_qubit
 from kdframes.linalg import Tolerances
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -152,6 +152,39 @@ class TestUnreadableJson:
         assert result.stdout == ""
         assert result.stderr.startswith(f"Error: {bad} is not valid JSON: ")
         assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["kd", "{sic}"],
+        ["bounds", "{sic}"],
+        ["frame", "check", "{sic}"],
+        ["frame", "gen", "sic2"],
+        ["reproduce", "qubit-sic"],
+        ["verify-extremality", "{sic}", "--samples", "2"],
+    ],
+    ids=" ".join,
+)
+def test_unwritable_stdout_exit_two(sic_file, command):
+    """A report that cannot be written is one Error line and exit 2, not a traceback."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # Buffered stdout keeps the unwritten report until the flush at exit.
+    env.pop("PYTHONUNBUFFERED", None)
+    args = [arg.format(sic=sic_file) for arg in command]
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "kdframes.cli", *args],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    assert result.returncode == 2
+    assert result.stderr == "Error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
 class TestStateSpecs:
@@ -517,40 +550,6 @@ class TestVerifyExtremalityCommand:
             for entry in report[family].values():
                 assert entry["min_slack"] >= -1e-10
 
-    def test_identity_sample_slack_is_principal_gap(self, runner, sic_file):
-        result = invoke(
-            runner,
-            [
-                "verify-extremality",
-                sic_file,
-                "--state",
-                "frame-state:0",
-                "--samples",
-                "1",
-                "--identity",
-                "--alphas",
-                "1",
-                "--format",
-                "json",
-            ],
-        )
-        report = json.loads(result.stdout)
-        from helpers import extremal_probabilities
-        from kdframes.channels import principal_kraus
-        from reference import unraveling_probabilities
-        from kdframes.entropy import renyi_entropy
-
-        frame = sic_qubit()
-        ket = frame.vectors[0]
-        rho = DensityMatrix(np.outer(ket, ket.conj()))
-        u = principal_kraus(frame)
-        extremal_probs = extremal_probabilities(u, rho)
-        expected = renyi_entropy(unraveling_probabilities(u, rho), 1.0) - renyi_entropy(
-            extremal_probs, 1.0
-        )
-        assert report["renyi"]["1"]["min_slack"] == pytest.approx(expected, abs=1e-12)
-        assert expected >= 0.0
-
     def test_non_tight_frame_exit_one(self, runner, tmp_path):
         from kdframes.frames import Frame
 
@@ -577,28 +576,27 @@ class TestVerifyExtremalityCommand:
         assert first.stdout == second.stdout
 
     @pytest.mark.parametrize(
-        "args,env,option",
-        [
-            (["--seed", "-1"], {}, "--seed"),
-            ([], {"KDF_SEED": "-1"}, "--seed"),
-            (["--samples", "0"], {}, "--samples"),
-        ],
-        ids=["seed-flag", "seed-env", "samples"],
+        "args,option",
+        [(["--seed", "-1"], "--seed"), (["--samples", "0"], "--samples")],
+        ids=["seed-flag", "samples"],
     )
-    def test_out_of_range_option_exit_two(self, runner, sic_file, args, env, option):
-        result = invoke(runner, ["verify-extremality", sic_file] + args, env=env)
+    def test_out_of_range_option_exit_two(self, runner, sic_file, args, option):
+        result = invoke(runner, ["verify-extremality", sic_file] + args)
         assert result.exit_code == 2
         assert result.stdout == ""
         assert f"Invalid value for '{option}'" in result.stderr
 
-    def test_env_seed_fallback_and_flag_override(self, runner, sic_file):
+    def test_seed_comes_only_from_the_flag(self, runner, sic_file):
         args = ["verify-extremality", sic_file, "--samples", "5", "--format", "json"]
         via_env = invoke(runner, args, env={"KDF_SEED": "77"})
-        via_flag = invoke(runner, args + ["--seed", "77"])
-        assert json.loads(via_env.stdout)["seed"] == 77
-        assert via_env.stdout == via_flag.stdout
-        overridden = invoke(runner, args + ["--seed", "5"], env={"KDF_SEED": "77"})
-        assert json.loads(overridden.output)["seed"] == 5
+        assert via_env.exit_code == 0
+        assert via_env.stdout == invoke(runner, args + ["--seed", "0"]).stdout
+
+    def test_identity_mode_is_no_option(self, runner, sic_file):
+        result = invoke(runner, ["verify-extremality", sic_file, "--identity"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "No such option" in result.stderr and "--identity" in result.stderr
 
 
 @pytest.mark.parametrize("command", ["kd", "bounds", "verify-extremality"])

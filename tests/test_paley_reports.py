@@ -6,13 +6,16 @@ bound, the Gram kernel and the extremality Monte Carlo get checked where a
 wrong reshape or a d-dependent constant would show.
 """
 
+import json
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import kdframes.cli
 from helpers import extremal_probabilities, paley_frame
 from kdframes import io
-from kdframes.channels import frame_gram, principal_kraus, unraveling_gram
+from kdframes.channels import frame_gram, mixed_probabilities, principal_kraus, unraveling_gram
 from kdframes.cli import build_bounds_report, build_extremality_report, build_kd_report
 from kdframes.entropy import renyi_entropy, tsallis_entropy
 from kdframes.frames import DensityMatrix, complement_etf, random_density_matrix, sic_qubit
@@ -158,7 +161,7 @@ def test_extremality_report_passes(frame, spec):
     assert np.abs(np.array(report["extremal_probabilities"]) - expected).max() <= 1e-12
 
 
-def general_path_min_slacks(frame, rho, samples, seed, alphas, identity) -> dict:
+def general_path_min_slacks(frame, rho, samples, seed, alphas) -> dict:
     """Minimum entropy slacks written out on the general Kraus path: for each
     sample, the re-unraveled Kraus stack, its outcome distribution and one
     scalar entropy per order."""
@@ -166,14 +169,13 @@ def general_path_min_slacks(frame, rho, samples, seed, alphas, identity) -> dict
     extremal = extremal_probabilities(u, rho)
     orders = {
         "tsallis": (tsallis_entropy, [a for a in alphas if np.isfinite(a)]),
-        "renyi": (renyi_entropy, sorted({a for a in alphas if a <= 1.0 or a == 2.0} | {np.inf})),
+        "renyi": (renyi_entropy, sorted({*alphas, np.inf})),
     }
     sampled = [
-        unraveling_probabilities(transform_unraveling(u, mixing), rho)
-        for mixing in (
-            np.eye(u.m) if identity else haar_unitary(u.m, np.random.default_rng([seed, i]))
-            for i in range(samples)
+        unraveling_probabilities(
+            transform_unraveling(u, haar_unitary(u.m, np.random.default_rng([seed, i]))), rho
         )
+        for i in range(samples)
     ]
     slacks = {}
     for family, (entropy, family_orders) in orders.items():
@@ -184,18 +186,32 @@ def general_path_min_slacks(frame, rho, samples, seed, alphas, identity) -> dict
     return slacks
 
 
+def assert_matches(report: dict, expected: dict) -> None:
+    """The report's rows are the expected orders, each slack within 1e-12."""
+    for family, slacks in expected.items():
+        assert list(report[family]) == [format(a, "g") for a in slacks]
+        for a, slack in slacks.items():
+            assert abs(report[family][format(a, "g")]["min_slack"] - slack) <= 1e-12
+
+
 # 7 samples span three blocks of 3, the last one partial, and Haar stacks
 # of 2 straddle those blocks; a single sample pins the generator of sample 0.
+# The second order list is unsorted, repeats inf and has Renyi orders in
+# (1, 2) and above 2, which every block must fill in too.
 @pytest.mark.parametrize("samples", [1, 7])
 @pytest.mark.parametrize(
     "block, chunk",
     [(None, None), (3, None), (3, 2)],
     ids=["one-block", "blocks-of-3", "blocks-of-3-chunks-of-2"],
 )
-@pytest.mark.parametrize("identity", [False, True], ids=["haar", "identity"])
+@pytest.mark.parametrize(
+    "alphas",
+    [[0.5, 1.0, 2.0, 5.0], [3.0, 1.5, np.inf]],
+    ids=["orders-0.5-1-2-5", "orders-3-1.5-inf"],
+)
 @pytest.mark.parametrize("complement", [False, True], ids=["paley19", "paley19-complement"])
 def test_extremality_matches_the_general_path(
-    monkeypatch, complement, identity, block, chunk, samples
+    monkeypatch, complement, alphas, block, chunk, samples
 ):
     frame = complement_etf(paley_frame(19)) if complement else paley_frame(19)
     if block is not None:
@@ -203,13 +219,50 @@ def test_extremality_matches_the_general_path(
     if chunk is not None:
         monkeypatch.setattr(kdframes.cli, "_HAAR_CHUNK_BYTES", chunk * 16 * frame.n**2)
     rho = state_of(frame, "frame-state:0")
-    alphas = [0.5, 1.0, 2.0, 5.0]
-    report, _ = build_extremality_report(frame, rho, "frame-state:0", samples, 5, alphas, identity)
-    expected = general_path_min_slacks(frame, rho, samples, 5, alphas, identity)
-    for family, slacks in expected.items():
-        assert list(report[family]) == [format(a, "g") for a in slacks]
-        for a, slack in slacks.items():
-            assert abs(report[family][format(a, "g")]["min_slack"] - slack) <= 1e-12
+    report, _ = build_extremality_report(frame, rho, "frame-state:0", samples, 5, alphas)
+    assert_matches(report, general_path_min_slacks(frame, rho, samples, 5, alphas))
+
+
+def test_every_renyi_order_asked_for_gets_a_row(tmp_path):
+    """--alphas reaches the builder: orders in (1, 2) and above 2 get Renyi rows."""
+    path = tmp_path / "paley19.json"
+    io.dump_frame(paley_frame(19), path)
+    args = ["verify-extremality", str(path), "--state", "frame-state:0", "--samples", "7"]
+    args += ["--seed", "5", "--alphas", "1.5,3", "--format", "json"]
+    result = CliRunner().invoke(kdframes.cli.main, args, catch_exceptions=False)
+    assert result.exit_code == 0
+    report = json.loads(result.stdout)
+    assert list(report["renyi"]) == ["1.5", "3", "inf"]
+
+
+@pytest.mark.parametrize(
+    "frame_of, spec",
+    [
+        (sic_qubit, "frame-state:0"),
+        (lambda: paley_frame(19), "frame-state:0"),
+        (lambda: paley_frame(19), "maximally-mixed"),
+    ],
+    ids=["sic2-frame-state0", "paley19-frame-state0", "paley19-maximally-mixed"],
+)
+def test_principal_unraveling_gap(frame_of, spec):
+    """The unmixed (principal) unraveling's outcome distribution is diag G,
+    and its entropy sits at or above the extremal one at every order."""
+    frame = frame_of()
+    rho = io.resolve_state(spec, frame)
+    gram = frame_gram(frame, rho)
+    principal = mixed_probabilities(gram, np.eye(frame.n))
+    assert np.array_equal(principal, np.diagonal(gram).real)
+    u = principal_kraus(frame)
+    stack_probs = unraveling_probabilities(u, rho)
+    extremal = extremal_probabilities(u, rho)
+    for entropy, orders in (
+        (renyi_entropy, [0.5, 1.0, 2.0, 5.0, np.inf]),
+        (tsallis_entropy, [0.5, 1.0, 2.0, 5.0]),
+    ):
+        for a in orders:
+            gap = entropy(principal, a) - entropy(extremal, a)
+            assert gap >= 0.0
+            assert abs(gap - (entropy(stack_probs, a) - entropy(extremal, a))) <= 1e-12
 
 
 # Samples per Haar stack: at most 64 KB of complex128 at n = 19 and 43; from
