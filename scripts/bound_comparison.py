@@ -28,10 +28,10 @@ def scan(frame, name: str, states: int, seed: int) -> None:
     print(f"{'purity':>8} {'true max':>10} {'interval':>10} {'closed':>10} {'gershgorin':>11}  winner")
     for k in range(states):
         rho = random_density_matrix(d, np.random.default_rng([seed, k]))
-        report, _ = build_bounds_report(frame, rho, f"ginibre:{seed},{k}", [])
+        report = build_bounds_report(frame, rho, f"ginibre:{seed},{k}", [])
         true_max = report["true_spectrum"][0]
-        interval_bound = report["eigen_interval"]["max_eig_bound"]
-        closed_bound = report["closed_form_interval"]["spectral_bound"]
+        interval_bound = report["eigen_interval"]["upper"]
+        closed_bound = report["closed_form_interval"]["upper"]
         gershgorin_bound = report["gershgorin"]["union_upper"]
         winner = "interval" if interval_bound <= gershgorin_bound else "gershgorin"
         print(

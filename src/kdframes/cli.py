@@ -41,15 +41,9 @@ from .frames import (
     is_tight,
     purity,
     sic_qubit,
+    tightness_deviation,
 )
-from .linalg import (
-    NUMERIC_TOL,
-    SATURATION_TOL,
-    STRUCTURAL_TOL,
-    Tolerances,
-    haar_unitary,
-    hermitian_eigvals,
-)
+from .linalg import Tolerances, haar_unitary, hermitian_eigvals
 
 
 class InputError(click.ClickException):
@@ -65,32 +59,53 @@ def _tolerance(ctx, param, value: float) -> float:
     return value
 
 
-_TOLERANCE_OPTIONS = [
-    ("--tol-structural", STRUCTURAL_TOL, "Absolute tolerance for structural identities."),
-    ("--tol-numeric", NUMERIC_TOL, "Tolerance for numerical comparisons and pass flags."),
-    ("--tol-saturation", SATURATION_TOL, "Tolerance below which a bound counts as saturated."),
-]
+_TOLERANCE_HELP = {
+    "structural": "Absolute tolerance for structural identities.",
+    "numeric": "Tolerance for numerical comparisons and pass flags.",
+    "saturation": "Tolerance below which a bound counts as saturated.",
+}
+
+# Report command -> the tolerances its checks read: the command offers their
+# --tol-* flags, and its report prints them.
+_TOLERANCES_READ = {
+    "frame check": ("numeric",),
+    "kd": ("structural", "numeric"),
+    "bounds": ("structural", "numeric", "saturation"),
+    "verify-extremality": ("structural", "numeric"),
+    "reproduce qubit-sic": ("structural", "numeric"),
+}
 
 
-def report_options(f):
-    """Add --format and the --tol-* options; the command gets ``fmt`` and one ``tol``."""
+def report_options(command: str):
+    """Add --format and the --tol-* flags that the report of ``command`` reads;
+    the command function gets ``fmt`` and one ``tol``."""
+    names = _TOLERANCES_READ[command]
 
-    def command(fmt, tol_structural, tol_numeric, tol_saturation, **params) -> None:
-        f(fmt=fmt, tol=Tolerances(tol_structural, tol_numeric, tol_saturation), **params)
+    def decorate(f):
+        def run(fmt, **params) -> None:
+            tol = Tolerances(**{name: params.pop(f"tol_{name}") for name in names})
+            f(fmt=fmt, tol=tol, **params)
 
-    command.__doc__ = f.__doc__
-    command = click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["json", "table"]),
-        default=None,
-        help="Force one output format instead of JSON plus terminal table.",
-    )(command)
-    for flag, default, text in _TOLERANCE_OPTIONS:
-        command = click.option(
-            flag, type=float, default=default, show_default=True, callback=_tolerance, help=text
-        )(command)
-    return command
+        run.__doc__ = f.__doc__
+        run = click.option(
+            "--format",
+            "fmt",
+            type=click.Choice(["json", "table"]),
+            default=None,
+            help="Force one output format instead of JSON plus terminal table.",
+        )(run)
+        for name in names:
+            run = click.option(
+                f"--tol-{name}",
+                type=float,
+                default=getattr(Tolerances(), name),
+                show_default=True,
+                callback=_tolerance,
+                help=_TOLERANCE_HELP[name],
+            )(run)
+        return run
+
+    return decorate
 
 
 _state_option = click.option(
@@ -169,9 +184,16 @@ def _checked(call, *args, label: str = "check failed"):
 
 
 def _finish(fmt: str | None, build, *args, label: str = "check failed") -> None:
-    """Build and emit a report; exit 1 naming the failed checks or a guard's ValueError."""
-    report, failures = _checked(build, *args, label=label)
+    """Build and emit a report; exit 1 naming each failed check with its slack
+    and tolerance, or naming a guard's ValueError."""
+    report = _checked(build, *args, label=label)
     _emit(report, fmt)
+    failures = [
+        f"{row['name']} (slack {'null' if row['slack'] is None else repr(row['slack'])}"
+        f" < -{row['tolerance']!r})"
+        for row in report["checks"]
+        if not row["pass"]
+    ]
     if failures:
         _fail(label, ", ".join(failures))
 
@@ -245,57 +267,61 @@ def _finite(value):
     return value if np.isfinite(value).all() else None
 
 
+def _check(name: str, slack: float, tolerance: float, **measured) -> dict:
+    """One check row, the values ``measured`` after its name. It passes when
+    slack >= -tolerance, so a NaN or -inf slack fails; a slack that is not
+    finite prints as null."""
+    slack = float(slack) + 0.0  # a zero slack prints as 0.0, not -0.0
+    row = {"name": name, **measured, "slack": _finite(slack), "tolerance": tolerance}
+    return {**row, "pass": slack >= -tolerance}
+
+
+def _verdict(report: dict, checks: list[dict], tol: Tolerances) -> dict:
+    """The report, ending in its check rows, the tolerances its command reads
+    and whether every row passed."""
+    names = _TOLERANCES_READ[report["command"]]
+    tolerances = {name: getattr(tol, name) for name in names}
+    report.update(checks=checks, tolerances=tolerances, passed=all(row["pass"] for row in checks))
+    return report
+
+
 # ----------------------------------------------------------------------
-# report builders: pure functions returning (report, failed check names)
+# report builders: pure functions returning a report that _verdict ends
 # ----------------------------------------------------------------------
 
 
 # Finite entries can overflow (1e200 squares to inf): such a frame fails its
 # checks without numpy warnings, and its overflowed fields print as null.
 @np.errstate(over="ignore", invalid="ignore")
-def build_frame_check_report(
-    raw_vectors: np.ndarray, tol: Tolerances = Tolerances()
-) -> tuple[dict, list[str]]:
-    """Certify a raw vector array; returns (report, failed invariant names)."""
+def build_frame_check_report(raw_vectors: np.ndarray, tol: Tolerances = Tolerances()) -> dict:
+    """Certify a raw vector array: unit norms, n >= d and, when n >= d, tightness."""
     n, d = raw_vectors.shape
-    norm_dev = float(np.abs(np.linalg.norm(raw_vectors, axis=1) - 1.0).max())
-    invariants = {
-        "unit_norms": {"pass": norm_dev <= tol.numeric, "max_deviation": _finite(norm_dev)},
-        "n_ge_d": {"pass": bool(n >= d)},
-    }
-    report: dict = {
-        "command": "frame check",
-        "n": n,
-        "d": d,
-        "redundancy": n / d,
-        "invariants": invariants,
-        "tolerances": tol.as_dict(),
-    }
+    norm_dev = np.abs(np.linalg.norm(raw_vectors, axis=1) - 1.0).max()
+    checks = [_check("unit_norms", -norm_dev, tol.numeric), _check("n_ge_d", n - d, 0.0)]
+    report: dict = {"command": "frame check", "n": n, "d": d, "redundancy": n / d}
     if n >= d:
         frame = Frame(raw_vectors, norm_tol=np.inf)
+        operator = frame_operator(frame)
+        checks.append(_check("tight", -tightness_deviation(operator, n), tol.numeric))
         measured_c = is_equiangular(frame, tol.numeric) if n >= 2 else None
         # Hermitian by construction; eigvalsh reads one triangle, so rounding cannot abort.
-        spectrum = np.linalg.eigvalsh(frame_operator(frame))[::-1]
+        spectrum = np.linalg.eigvalsh(operator)[::-1]
         report.update(
             {
-                "tight": is_tight(frame, tol.numeric),
+                "tight": checks[-1]["pass"],
                 "equiangular": measured_c is not None,
                 "measured_c": measured_c,
                 "expected_c": coherence_constant(n, d),
                 "frame_operator_spectrum": _finite(spectrum),
             }
         )
-    failures = [name for name, entry in invariants.items() if not entry["pass"]]
-    if not report.get("tight", True):
-        failures.append("tight")
-    report["passed"] = not failures
-    return report, failures
+    return _verdict(report, checks, tol)
 
 
 def build_kd_report(
     frame: Frame, rho: DensityMatrix, state_spec: str, tol: Tolerances = Tolerances()
-) -> tuple[dict, list[str]]:
-    """Gram and Kirkwood-Dirac matrices plus their proportionality residual.
+) -> dict:
+    """Gram and Kirkwood-Dirac matrices, checked by their proportionality residual.
 
     For a tight frame the KD matrix tr(E_i E_j rho) is (d/n) times the Gram
     matrix, so both come from the closed form ``frame_gram`` and share one
@@ -308,8 +334,7 @@ def build_kd_report(
     gram = frame_gram(frame, rho)
     kd = scale * gram
     spectrum = hermitian_eigvals(gram)
-    residual = float(np.abs(kd - scale * unraveling_gram(principal_kraus(frame), rho)).max())
-    failures = [] if residual <= tol.structural else ["kd_vs_scaled_gram_residual"]
+    residual = np.abs(kd - scale * unraveling_gram(principal_kraus(frame), rho)).max()
     report = {
         "command": "kd",
         "n": frame.n,
@@ -319,11 +344,8 @@ def build_kd_report(
         "kd": io.complex_to_pairs(kd),
         "gram_spectrum": spectrum,
         "kd_spectrum": scale * spectrum,
-        "kd_vs_scaled_gram_residual": residual,
-        "tolerances": tol.as_dict(),
-        "passed": not failures,
     }
-    return report, failures
+    return _verdict(report, [_check("kd_vs_scaled_gram_residual", -residual, tol.structural)], tol)
 
 
 def build_bounds_report(
@@ -332,8 +354,14 @@ def build_bounds_report(
     state_spec: str,
     alphas: list[float],
     tol: Tolerances = Tolerances(),
-) -> tuple[dict, list[str]]:
-    """Eigenvalue-location and entropy bounds against achieved values."""
+) -> dict:
+    """Eigenvalue-location and entropy bounds against achieved values.
+
+    Each bound is one check row. An interval's slack is the least distance
+    of any eigenvalue to its nearer end, so its row also checks the
+    largest-eigenvalue bound, the interval's upper end. The coincidence and
+    entropy rows also say whether the bound is saturated.
+    """
     _require_tight(frame, tol)
     if frame.n < 2 or is_equiangular(frame, tol.numeric) is None:
         raise ValueError("closed-form bounds need an equiangular tight frame")
@@ -345,23 +373,24 @@ def build_bounds_report(
     probs = clean_probabilities(np.diagonal(gram).real)
     extremal = _clamp_zeros(spectrum, tol)
 
-    # The IC bound is an upper bound, so its slack is bound - achieved.
+    def saturable(name: str, slack: float) -> dict:
+        return {**_check(name, slack, tol.numeric), "saturated": bool(abs(slack) <= tol.saturation)}
+
     ic_bound = ic_upper_bound(n, d, state_purity)
     ic_achieved = index_of_coincidence(probs)
-    ic_slack = ic_bound - ic_achieved
-
-    # For PSD G the largest-eigenvalue bound is the interval's upper end.
     interval = eigen_interval(gram)
-    interval_slack = float(interval.slack(spectrum).min())
-
     centers, radii = gershgorin_disks(gram)
     union = gershgorin_union(gram)
-    # each eigenvalue's depth inside its best disk; the worst eigenvalue counts
-    g_slack = float((radii - np.abs(spectrum[:, None] - centers)).max(axis=1).min())
-
-    # The ETF spectral bound is the closed-form interval's upper end.
     closed_interval = etf_eigen_interval(n, d, state_purity)
-    closed_slack = float(closed_interval.slack(spectrum).min())
+    # each eigenvalue's depth inside its best disk; the worst eigenvalue counts
+    g_slack = (radii - np.abs(spectrum[:, None] - centers)).max(axis=1).min()
+    checks = [
+        # The IC bound is an upper bound, so its slack is bound - achieved.
+        saturable("ic_bound", ic_bound - ic_achieved),
+        _check("eigen_interval", interval.slack(spectrum).min(), tol.numeric),
+        _check("gershgorin", g_slack, tol.numeric),
+        _check("closed_form_interval", closed_interval.slack(spectrum).min(), tol.numeric),
+    ]
 
     # Entropy family -> (uncertainty bound, orders the bound covers). The
     # bounds are lower bounds: slack is the smaller achieved value - bound.
@@ -373,32 +402,20 @@ def build_bounds_report(
     for family, (bound_of, covers) in families.items():
         entropy = _ENTROPIES[family]
         for alpha in filter(covers, alphas):
+            key = _alpha_key(alpha)
             bound = bound_of(n, d, state_purity, alpha)
             achieved = entropy(probs, alpha)
             achieved_extremal = entropy(extremal, alpha)
-            slack = min(achieved, achieved_extremal) - bound
             rows[family].append(
                 {
-                    "alpha": _alpha_key(alpha),
+                    "alpha": key,
                     "bound": bound,
                     "achieved": achieved,
                     "achieved_extremal": achieved_extremal,
-                    "slack": slack,
-                    "saturated": abs(slack) <= tol.saturation,
-                    "pass": slack >= -tol.numeric,
                 }
             )
+            checks.append(saturable(f"{family}:{key}", min(achieved, achieved_extremal) - bound))
 
-    checks = {
-        "ic_bound": ic_slack >= -tol.numeric,
-        "eigen_interval": interval_slack >= -tol.numeric,
-        "gershgorin": g_slack >= -tol.numeric,
-        "closed_form_interval": closed_slack >= -tol.numeric,
-        "spectral_bound": closed_interval.upper - true_max >= -tol.numeric,
-        "max_eig_bound": interval.upper - true_max >= -tol.numeric,
-        "entropy_bounds": all(r["pass"] for r in rows["renyi"] + rows["tsallis"]),
-    }
-    failures = [name for name, ok in checks.items() if not ok]
     report = {
         "command": "bounds",
         "n": n,
@@ -406,17 +423,10 @@ def build_bounds_report(
         "state": state_spec,
         "purity": state_purity,
         "true_spectrum": spectrum,
-        "index_of_coincidence": {
-            "achieved": ic_achieved,
-            "bound": ic_bound,
-            "slack": ic_slack,
-            "saturated": abs(ic_slack) <= tol.saturation,
-        },
+        "index_of_coincidence": {"achieved": ic_achieved, "bound": ic_bound},
         "eigen_interval": {
             "lower": interval.lower,
             "upper": interval.upper,
-            "containment_slack": interval_slack,
-            "max_eig_bound": interval.upper,
             "relative_error_vs_max": _relative_error(interval.upper, true_max),
         },
         "gershgorin": {
@@ -426,22 +436,13 @@ def build_bounds_report(
             ],
             "union_lower": union.lower,
             "union_upper": union.upper,
-            "containment_slack": g_slack,
             "relative_error_vs_max": _relative_error(union.upper, true_max),
         },
-        "closed_form_interval": {
-            "lower": closed_interval.lower,
-            "upper": closed_interval.upper,
-            "containment_slack": closed_slack,
-            "spectral_bound": closed_interval.upper,
-        },
+        "closed_form_interval": {"lower": closed_interval.lower, "upper": closed_interval.upper},
         "renyi": rows["renyi"],
         "tsallis": rows["tsallis"],
-        "checks": checks,
-        "tolerances": tol.as_dict(),
-        "passed": not failures,
     }
-    return report, failures
+    return _verdict(report, checks, tol)
 
 
 def build_extremality_report(
@@ -452,7 +453,7 @@ def build_extremality_report(
     seed: int,
     alphas: list[float],
     tol: Tolerances = Tolerances(),
-) -> tuple[dict, list[str]]:
+) -> dict:
     """Monte Carlo over re-unravelings: minimum entropy slack vs. the extremal one.
 
     Sample i uses the deterministic generator seeded with (seed, i), so
@@ -460,8 +461,10 @@ def build_extremality_report(
     outcome distribution is diag(V^dag G V) for the closed-form Gram matrix
     G. The unitaries V are drawn and mixed in stacks of at most
     _HAAR_CHUNK_BYTES, and the entropies of up to _SAMPLE_BLOCK samples are
-    evaluated together. Tsallis rows are given at every finite order asked
-    for, Renyi rows at every order asked for plus alpha = inf.
+    evaluated together. Tsallis orders are every finite order asked for,
+    Renyi orders every order asked for plus alpha = inf. Each family maps
+    its orders to their extremal entropy, and the check row
+    ``<family>:<order>`` holds the least sampled slack above it.
     """
     _require_tight(frame, tol)
     gram = frame_gram(frame, rho)
@@ -499,12 +502,6 @@ def build_extremality_report(
                 slack = float(np.min(_ENTROPIES[family](block, a))) - row["extremal"]
                 row["min_slack"] = min(row["min_slack"], slack)
 
-    failures = [
-        f"{family}:{_alpha_key(a)}"
-        for family, rows in table.items()
-        for a, row in rows.items()
-        if not row["min_slack"] >= -tol.numeric
-    ]
     report = {
         "command": "verify-extremality",
         "n": frame.n,
@@ -514,25 +511,29 @@ def build_extremality_report(
         "seed": seed,
         "extremal_probabilities": extremal_probs,
         **{
-            family: {_alpha_key(a): row for a, row in rows.items()}
+            family: {_alpha_key(a): row["extremal"] for a, row in rows.items()}
             for family, rows in table.items()
         },
-        "tolerances": tol.as_dict(),
-        "passed": not failures,
     }
-    return report, failures
+    checks = [
+        _check(f"{family}:{_alpha_key(a)}", row["min_slack"], tol.numeric)
+        for family, rows in table.items()
+        for a, row in rows.items()
+    ]
+    return _verdict(report, checks, tol)
 
 
-def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> tuple[dict, list[str]]:
+def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> dict:
     """Check the paper's qubit tetrahedron figures against the kd and bounds reports.
 
     Each check reads a value off ``build_kd_report`` or ``build_bounds_report``
-    of ``sic_qubit()`` at the maximally mixed state and at frame state 0 and
-    passes when |actual - expected| <= tolerance elementwise; complex
-    matrices compare as [re, im] pairs. The inner reports run at the default
-    tolerances, and no value read here depends on them, so ``tol`` governs
-    the nine checks only: passed through, ``--tol-numeric 0`` would have the
-    tightness guard reject the SIC and no report would print.
+    of ``sic_qubit()`` at the maximally mixed state and at frame state 0. Its
+    slack is -max |actual - expected| elementwise, complex matrices compared
+    as [re, im] pairs; "below 0.729" is one-sided, with slack 0.729 - bound
+    at tolerance 0. The inner reports run at the default tolerances, and no
+    value read here depends on them, so ``tol`` governs the checks only:
+    passed through, ``--tol-numeric 0`` would have the tightness guard reject
+    the SIC and no report would print.
     """
     frame = sic_qubit()
     n, d = frame.n, frame.d
@@ -540,7 +541,7 @@ def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> tuple[dict, list[s
 
     def reports(spec: str) -> tuple[dict, dict]:
         rho = io.resolve_state(spec, frame)
-        return build_kd_report(frame, rho, spec)[0], build_bounds_report(frame, rho, spec, [])[0]
+        return build_kd_report(frame, rho, spec), build_bounds_report(frame, rho, spec, [])
 
     kd_mixed, bounds_mixed = reports("maximally-mixed")
     kd_pure, bounds_pure = reports("frame-state:0")
@@ -554,58 +555,53 @@ def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> tuple[dict, list[s
     frobenius_a = (d * d - 2 * d + n) / ((n - 1) * d * d)
     frobenius_b = (1.0 + (n - 1) * c * c) / n
     radii = np.array([disk["radius"] for disk in bounds_mixed["gershgorin"]["disks"]])
-    bound = interval["max_eig_bound"]
-    # "below 0.729" is one-sided: a bound at or above it meets no tolerance
-    bound_tol = tol.structural if bound < 0.729 else -np.inf
+    bound = interval["upper"]
     root = float(np.sqrt(11.0 / 3.0))
     radius = etf_eigen_interval(n, d, bounds_pure["purity"]).radius
     union = np.array([gershgorin["union_lower"], gershgorin["union_upper"]])
     errors = np.array([interval["relative_error_vs_max"], gershgorin["relative_error_vs_max"]])
-    # check name -> (value read off a report, the paper's value, tolerance)
-    rows = {
-        "mixed-state gram matrix": (kd_mixed["gram"], pairs_mixed, tol.structural),
-        "mixed-state gershgorin radius 1/4": (radii, (n - 1) * c / n, tol.structural),
-        # ||G||^2 and closed form b, each against closed form a
-        "mixed-state squared Frobenius norm, two closed forms agree": (
-            np.array([frobenius, frobenius_b]), frobenius_a, np.array([tol.numeric, tol.structural])
-        ),
-        "pure-frame-state gram matrix": (kd_pure["gram"], pairs_pure, tol.structural),
-        "pure-frame-state spectrum (2/3, 1/3, 0, 0)": (
-            kd_pure["gram_spectrum"], np.array([2.0 / 3.0, 1.0 / 3.0, 0.0, 0.0]), tol.numeric
-        ),
-        "largest-eigenvalue bound (1 + sqrt(11/3))/4 below 0.729": (
-            bound, (1.0 + root) / 4.0, bound_tol
-        ),
-        "purity-based interval radius sqrt(11/3)/4": (radius, root / 4.0, tol.structural),
-        "gershgorin union [0, 1]": (union, np.array([0.0, 1.0]), tol.numeric),
-        "relative errors about 9.3% and 50%": (errors, np.array([0.093, 0.5]), 1e-3),
-    }
-    checks = []
-    for name, (actual, expected, tolerance) in rows.items():
-        deviation = np.abs(np.subtract(actual, expected))
-        checks.append(
-            {
-                "name": name,
-                "pass": bool(np.all(deviation <= tolerance)),
-                "actual": actual,
-                "expected": expected,
-                "max_deviation": float(np.max(deviation)),
-            }
-        )
+    structural, numeric = tol.structural, tol.numeric
 
-    failures = [entry["name"] for entry in checks if not entry["pass"]]
+    def check(name: str, actual, expected, tolerance: float) -> dict:
+        slack = -np.max(np.abs(np.subtract(actual, expected)))
+        return _check(name, slack, tolerance, actual=actual, expected=expected)
+
+    checks = [
+        check("mixed-state gram matrix", kd_mixed["gram"], pairs_mixed, structural),
+        check("mixed-state gershgorin radius 1/4", radii, (n - 1) * c / n, structural),
+        check("mixed-state squared Frobenius norm", frobenius, frobenius_a, numeric),
+        # closed form b against closed form a
+        check(
+            "mixed-state squared Frobenius norm, two closed forms agree",
+            frobenius_b,
+            frobenius_a,
+            structural,
+        ),
+        check("pure-frame-state gram matrix", kd_pure["gram"], pairs_pure, structural),
+        check(
+            "pure-frame-state spectrum (2/3, 1/3, 0, 0)",
+            kd_pure["gram_spectrum"],
+            np.array([2.0 / 3.0, 1.0 / 3.0, 0.0, 0.0]),
+            numeric,
+        ),
+        check("largest-eigenvalue bound (1 + sqrt(11/3))/4", bound, (1.0 + root) / 4.0, structural),
+        # one-sided: a bound at or below 0.729 passes
+        _check(
+            "largest-eigenvalue bound below 0.729", 0.729 - bound, 0.0, actual=bound, expected=0.729
+        ),
+        check("purity-based interval radius sqrt(11/3)/4", radius, root / 4.0, structural),
+        check("gershgorin union [0, 1]", union, np.array([0.0, 1.0]), numeric),
+        check("relative errors about 9.3% and 50%", errors, np.array([0.093, 0.5]), 1e-3),
+    ]
     report = {
         "command": "reproduce qubit-sic",
         "n": n,
         "d": d,
         "coherence": c,
-        "checks": checks,
         "gram_mixed": kd_mixed["gram"],
         "gram_pure": kd_pure["gram"],
-        "tolerances": tol.as_dict(),
-        "passed": not failures,
     }
-    return report, failures
+    return _verdict(report, checks, tol)
 
 
 # ----------------------------------------------------------------------
@@ -625,7 +621,7 @@ def frame() -> None:
 
 @frame.command("check")
 @click.argument("frame_file", type=click.Path(dir_okay=False))
-@report_options
+@report_options("frame check")
 def frame_check(frame_file, fmt, tol: Tolerances) -> None:
     """Certify tightness and equiangularity of a frame file."""
     raw = _call_io(io.raw_vectors_from_dict, _call_io(io.load_json, frame_file))
@@ -655,7 +651,7 @@ def gen_complement(frame_file, output) -> None:
 @main.command("kd")
 @click.argument("frame_file", type=click.Path(dir_okay=False))
 @_state_option
-@report_options
+@report_options("kd")
 def kd_command(frame_file, state_spec, fmt, tol: Tolerances) -> None:
     """Emit the Gram and Kirkwood-Dirac matrices of a tight frame and a state."""
     loaded = _load_frame(frame_file)
@@ -672,7 +668,7 @@ def kd_command(frame_file, state_spec, fmt, tol: Tolerances) -> None:
     show_default=True,
     help="Comma-separated entropy orders.",
 )
-@report_options
+@report_options("bounds")
 def bounds_command(frame_file, state_spec, alphas, fmt, tol: Tolerances) -> None:
     """Compare eigenvalue-location and entropy bounds against achieved values."""
     loaded = _load_frame(frame_file)
@@ -692,7 +688,7 @@ def bounds_command(frame_file, state_spec, alphas, fmt, tol: Tolerances) -> None
     help="RNG seed.",
 )
 @click.option("--alphas", default="0.5,1,2,5", show_default=True)
-@report_options
+@report_options("verify-extremality")
 def verify_extremality(frame_file, state_spec, samples, seed, alphas, fmt, tol: Tolerances) -> None:
     """Check that the extremal unraveling minimizes the sampled entropies."""
     loaded = _load_frame(frame_file)
@@ -707,7 +703,7 @@ def reproduce() -> None:
 
 
 @reproduce.command("qubit-sic")
-@report_options
+@report_options("reproduce qubit-sic")
 def reproduce_qubit_sic(fmt, tol: Tolerances) -> None:
     """Run every qubit tetrahedron check: matrices, spectrum, bounds, errors."""
     _finish(fmt, build_qubit_sic_report, tol)

@@ -110,11 +110,16 @@ def gram_matrix(f: Frame) -> np.ndarray:
     return f.vectors.conj() @ f.vectors.T
 
 
+def tightness_deviation(operator: np.ndarray, n: int) -> float:
+    """Relative distance ||S - (n/d) I||_F / (n/d) of the frame operator S of
+    n vectors in C^d from that of a tight frame."""
+    target = n / len(operator)
+    return float(np.linalg.norm(operator - target * np.eye(len(operator))) / target)
+
+
 def is_tight(f: Frame, tol: float = NUMERIC_TOL) -> bool:
     """Whether the frame operator equals (n/d) I within relative tolerance."""
-    target = f.n / f.d
-    deviation = np.linalg.norm(frame_operator(f) - target * np.eye(f.d))
-    return bool(deviation <= tol * target)
+    return tightness_deviation(frame_operator(f), f.n) <= tol
 
 
 def is_equiangular(f: Frame, tol: float = NUMERIC_TOL) -> float | None:

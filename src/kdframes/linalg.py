@@ -8,7 +8,7 @@ or ``numpy.random.Generator``, never through global state.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +27,6 @@ class Tolerances:
     structural: float = STRUCTURAL_TOL
     numeric: float = NUMERIC_TOL
     saturation: float = SATURATION_TOL
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def require_finite(a: np.ndarray, name: str) -> np.ndarray:

@@ -93,3 +93,42 @@ def assert_same(actual, expected, path: str) -> None:
         )
     else:
         assert actual == expected, f"{path}: {actual!r} != {expected!r}"
+
+
+ROW_KEYS = ["name", "slack", "tolerance", "pass"]
+
+
+def assert_check_rows(report: dict) -> None:
+    """The report ends in ``checks``, ``tolerances`` and ``passed``; each check
+    row has a unique name and the keys name, slack, tolerance and pass, with
+    ``saturated`` after them on the coincidence and entropy rows of ``bounds``
+    and ``actual, expected`` after the name on ``reproduce`` rows; a row
+    passes exactly when its slack is at least -tolerance, and a null slack
+    fails."""
+    command = report["command"]
+    assert list(report)[-3:] == ["checks", "tolerances", "passed"], command
+    rows = report["checks"]
+    names = [row["name"] for row in rows]
+    assert len(names) == len(set(names)), command
+    for row in rows:
+        keys = list(ROW_KEYS)
+        family = row["name"].partition(":")[0]
+        if command == "bounds" and family in ("ic_bound", "renyi", "tsallis"):
+            keys.append("saturated")
+        if command == "reproduce qubit-sic":
+            keys[1:1] = ["actual", "expected"]
+        assert list(row) == keys, f"{command} {row['name']}"
+        slack = row["slack"]
+        assert row["pass"] is (slack is not None and slack >= -row["tolerance"]), row["name"]
+    assert report["passed"] is all(row["pass"] for row in rows)
+
+
+def failure_line(report: dict, label: str = "check failed") -> str:
+    """The stderr line that names each failed check of a report with its slack and tolerance."""
+    failed = [
+        f"{row['name']} (slack {'null' if row['slack'] is None else repr(row['slack'])}"
+        f" < -{row['tolerance']!r})"
+        for row in report["checks"]
+        if not row["pass"]
+    ]
+    return f"{label}: {', '.join(failed)}\n"

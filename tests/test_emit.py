@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import paley_frame
+from helpers import assert_check_rows, paley_frame
 from kdframes import io
 from kdframes._jsontext import _DEDUP_MIN, _json_default, _json_text
 from kdframes.cli import (
@@ -167,13 +167,13 @@ def numeric_lists(node, path: str) -> list[str]:
 
 
 def in_process_reports(frame) -> list[dict]:
-    reports = [build_frame_check_report(frame.vectors)[0]]
+    reports = [build_frame_check_report(frame.vectors)]
     for spec in ("maximally-mixed", "frame-state:0"):
         rho = io.resolve_state(spec, frame)
         reports += [
-            build_kd_report(frame, rho, spec)[0],
-            build_bounds_report(frame, rho, spec, [0.5, 1.0, 2.0, 5.0, np.inf])[0],
-            build_extremality_report(frame, rho, spec, 20, 0, [0.5, 1.0, 2.0, 5.0])[0],
+            build_kd_report(frame, rho, spec),
+            build_bounds_report(frame, rho, spec, [0.5, 1.0, 2.0, 5.0, np.inf]),
+            build_extremality_report(frame, rho, spec, 20, 0, [0.5, 1.0, 2.0, 5.0]),
         ]
     return reports
 
@@ -189,10 +189,16 @@ def numpy_scalars(node, path: str) -> list[str]:
 
 @pytest.mark.parametrize("frame", [sic_qubit(), paley_frame(7)], ids=["sic2", "paley7"])
 def test_report_arrays_stay_numpy_arrays(frame):
-    reports = in_process_reports(frame) + [build_qubit_sic_report()[0]]
+    reports = in_process_reports(frame) + [build_qubit_sic_report()]
     assert [p for r in reports for p in numeric_lists(r, r["command"])] == []
     # every scalar leaf is a Python value, so the table prints each flag as yes/no
     assert [p for r in reports for p in numpy_scalars(r, r["command"])] == []
     rows = [line.split() for r in reports for line in _render_table(r).splitlines()]
     assert [row for row in rows if row[-1] in ("True", "False")] == []
     assert ["tight", "yes"] in rows
+
+
+@pytest.mark.parametrize("frame", [sic_qubit(), paley_frame(7)], ids=["sic2", "paley7"])
+def test_in_process_check_rows_follow_the_row_contract(frame):
+    for report in in_process_reports(frame) + [build_qubit_sic_report()]:
+        assert_check_rows(report)

@@ -204,9 +204,9 @@ class TestSicQubit:
 def all_reports(frame: Frame, spec: str) -> list[dict]:
     rho = io.resolve_state(spec, frame)
     return [
-        build_kd_report(frame, rho, spec)[0],
-        build_bounds_report(frame, rho, spec, [0.5, 1.0, 2.0, 5.0, np.inf])[0],
-        build_extremality_report(frame, rho, spec, 20, 0, [0.5, 1.0, 2.0, 5.0])[0],
+        build_kd_report(frame, rho, spec),
+        build_bounds_report(frame, rho, spec, [0.5, 1.0, 2.0, 5.0, np.inf]),
+        build_extremality_report(frame, rho, spec, 20, 0, [0.5, 1.0, 2.0, 5.0]),
     ]
 
 

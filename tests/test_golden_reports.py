@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from helpers import assert_same, paley_frame
+from helpers import assert_check_rows, assert_same, paley_frame
 from kdframes import io
 from kdframes._jsontext import _json_default
 from kdframes.cli import build_bounds_report, build_kd_report, main
@@ -79,6 +79,11 @@ def test_report_matches_golden(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", sorted(golden_cases()))
+def test_golden_check_rows_follow_the_row_contract(case):
+    assert_check_rows(json.loads((GOLDEN_DIR / f"{case}.json").read_text())["report"])
+
+
+@pytest.mark.parametrize("case", sorted(golden_cases()))
 def test_report_bytes_are_the_stdlib_indent_2_dump(case, tmp_path):
     stdout = invoke_case(golden_cases()[case], tmp_path).stdout
     assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n"
@@ -113,7 +118,7 @@ def test_kd_bytes_are_the_stdlib_dump_of_the_report(command, p, state, tmp_path)
     stdout = CliRunner().invoke(main, args, catch_exceptions=False).stdout
     frame = io.load_frame(path)
     rho = io.resolve_state(state, frame)
-    report, _ = build(frame, rho, state)
+    report = build(frame, rho, state)
     assert stdout == json.dumps(report, indent=2, default=_json_default) + "\n"
 
 

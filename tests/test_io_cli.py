@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from helpers import paley_frame
+from helpers import assert_check_rows, failure_line, paley_frame
 from kdframes import cli, io
 from kdframes._jsontext import _json_default
+from kdframes.bounds import Interval
 from kdframes.cli import build_qubit_sic_report, main
 from kdframes.frames import Frame, orthonormal_frame, purity, sic_qubit
 from kdframes.linalg import Tolerances
@@ -34,6 +35,15 @@ def sic_file(tmp_path):
 
 def invoke(runner, args, **kwargs):
     return runner.invoke(main, args, catch_exceptions=False, **kwargs)
+
+
+def rows_of(report: dict) -> dict:
+    """Check name -> check row of a report."""
+    return {row["name"]: row for row in report["checks"]}
+
+
+def failed_names(report: dict) -> list[str]:
+    return [row["name"] for row in report["checks"] if not row["pass"]]
 
 
 def reject_constant(name: str):
@@ -256,9 +266,9 @@ class TestFrameCheckCommand:
         result = invoke(runner, ["frame", "check", str(path), "--format", "json"])
         assert result.exit_code == 1
         report = json.loads(result.stdout)
-        assert report["invariants"]["unit_norms"]["pass"] is False
+        assert failed_names(report) == ["unit_norms", "tight"]
         assert report["tight"] is False
-        assert result.stderr == "invariant failure: unit_norms, tight\n"
+        assert result.stderr == failure_line(report, "invariant failure")
 
     def test_non_tight_frame_fails_invariant_but_reports(self, runner, tmp_path):
         path = tmp_path / "loose.json"
@@ -268,7 +278,8 @@ class TestFrameCheckCommand:
         report = json.loads(result.stdout)
         assert report["tight"] is False
         assert report["passed"] is False
-        assert result.stderr == "invariant failure: tight\n"
+        assert failed_names(report) == ["tight"]
+        assert result.stderr == failure_line(report, "invariant failure")
 
     def test_parse_failure_exit_two(self, runner, tmp_path):
         path = tmp_path / "garbage.json"
@@ -287,9 +298,9 @@ class TestFrameCheckCommand:
         result = invoke(runner, ["frame", "check", str(path), "--format", "json"])
         assert result.exit_code == 1
         report = json.loads(result.stdout)
-        assert report["invariants"]["unit_norms"]["pass"] is False
+        assert failed_names(report) == ["unit_norms", "tight"]
         assert len(report["frame_operator_spectrum"]) == document["d"]
-        assert result.stderr == "invariant failure: unit_norms, tight\n"
+        assert result.stderr == failure_line(report, "invariant failure")
 
     def test_overflowing_overlaps_are_not_equiangular(self, tmp_path):
         # Entries of 1e200 overflow every squared overlap to inf, so their
@@ -311,12 +322,13 @@ class TestFrameCheckCommand:
         )
         assert result.returncode == 1
         # no numpy warnings, and strict JSON: the overflowed fields print as null
-        assert result.stderr == "invariant failure: unit_norms, tight\n"
         report = json.loads(result.stdout, parse_constant=reject_constant)
+        assert failed_names(report) == ["unit_norms", "tight"]
+        assert result.stderr == failure_line(report, "invariant failure")
         assert report["passed"] is False
         assert report["equiangular"] is False
         assert report["measured_c"] is None
-        assert report["invariants"]["unit_norms"]["max_deviation"] is None
+        assert rows_of(report)["unit_norms"]["slack"] is None
         assert report["frame_operator_spectrum"] is None
 
 
@@ -362,7 +374,7 @@ class TestKdCommand:
         gram = io.pairs_to_complex(report["gram"])
         expected = (np.eye(4) * (2 / 3) + np.full((4, 4), 1 / 3)) / 4
         assert gram == pytest.approx(expected, abs=1e-12)
-        assert report["kd_vs_scaled_gram_residual"] <= 1e-12
+        assert -rows_of(report)["kd_vs_scaled_gram_residual"]["slack"] <= 1e-12
 
     def test_pure_frame_state_spectrum(self, runner, sic_file):
         result = invoke(
@@ -398,18 +410,16 @@ class TestKdCommand:
         monkeypatch.setattr(kdframes.cli, site, planted)
         result = invoke(runner, ["kd", sic_file, "--format", "json"])
         assert result.exit_code == 1
-        assert json.loads(result.stdout)["passed"] is False
-        assert result.stderr == "check failed: kd_vs_scaled_gram_residual\n"
+        report = json.loads(result.stdout)
+        assert report["passed"] is False
+        assert failed_names(report) == ["kd_vs_scaled_gram_residual"]
+        assert result.stderr == failure_line(report)
 
     def test_tolerance_flags_reach_report(self, runner, sic_file):
         result = invoke(runner, ["kd", sic_file, "--tol-numeric", "1e-9", "--format", "json"])
         assert result.exit_code == 0
         tolerances = json.loads(result.stdout)["tolerances"]
-        assert list(tolerances.items()) == [
-            ("structural", 1e-12),
-            ("numeric", 1e-9),
-            ("saturation", 1e-8),
-        ]
+        assert list(tolerances.items()) == [("structural", 1e-12), ("numeric", 1e-9)]
 
     def test_broken_norm_invariant_exit_one(self, runner, tmp_path):
         document = io.frame_to_dict(sic_qubit())
@@ -439,7 +449,7 @@ class TestBoundsCommand:
         )
         assert report["gershgorin"]["union_upper"] == pytest.approx(1.0, abs=1e-10)
         assert report["gershgorin"]["relative_error_vs_max"] == pytest.approx(0.5, abs=1e-10)
-        assert all(row["pass"] for row in report["renyi"] + report["tsallis"])
+        assert all(row["pass"] for row in report["checks"])
 
     def test_maximally_mixed_interval_coincidence(self, runner, sic_file):
         result = invoke(runner, ["bounds", sic_file, "--format", "json"])
@@ -467,19 +477,24 @@ class TestBoundsCommand:
             result = invoke(runner, args + flags + ["--format", "json"])
             assert result.exit_code == 0
             report = json.loads(result.stdout)
-            ic = report["index_of_coincidence"]
+            checks = rows_of(report)
+            ic, ic_check = report["index_of_coincidence"], checks["ic_bound"]
             # an upper bound: slack is bound - achieved
-            assert ic["slack"] == ic["bound"] - ic["achieved"]
-            assert ic["saturated"] is (abs(ic["slack"]) <= saturation)
-            assert report["checks"]["ic_bound"] is (ic["slack"] >= -numeric)
+            assert ic_check["slack"] == ic["bound"] - ic["achieved"]
+            assert ic_check["saturated"] is (abs(ic_check["slack"]) <= saturation)
+            assert ic_check["pass"] is (ic_check["slack"] >= -numeric)
+            assert ic_check["tolerance"] == numeric
             rows = report["renyi"] + report["tsallis"]
             assert [row["alpha"] for row in rows] == ["2", "5", "inf", "0.5", "1", "2"]
-            for row in rows:
+            names = ["renyi:2", "renyi:5", "renyi:inf", "tsallis:0.5", "tsallis:1", "tsallis:2"]
+            assert [row["name"] for row in report["checks"][4:]] == names
+            for name, row in zip(names, rows):
                 # lower bounds: slack is the smaller achieved entropy - bound
+                check = checks[name]
                 achieved = min(row["achieved"], row["achieved_extremal"])
-                assert row["slack"] == achieved - row["bound"]
-                assert row["saturated"] is (abs(row["slack"]) <= saturation)
-                assert row["pass"] is (row["slack"] >= -numeric)
+                assert check["slack"] == achieved - row["bound"]
+                assert check["saturated"] is (abs(check["slack"]) <= saturation)
+                assert check["pass"] is (check["slack"] >= -numeric)
 
     def test_bad_alpha_list_exit_two(self, runner, sic_file):
         result = runner.invoke(main, ["bounds", sic_file, "--alphas", "2,-1"])
@@ -524,8 +539,7 @@ class TestVerifyExtremalityCommand:
             report = json.loads(invoke(runner, args + ["--format", "json"]).stdout)
             assert list(report["tsallis"]) == tsallis
             assert list(report["renyi"]) == tsallis + ["inf"]
-            rows = report["tsallis"]
-            assert rows["0.5"]["extremal"] != rows["0.5000001"]["extremal"]
+            assert report["tsallis"]["0.5"] != report["tsallis"]["0.5000001"]
 
     def test_monte_carlo_slacks(self, runner, sic_file):
         result = invoke(
@@ -546,9 +560,10 @@ class TestVerifyExtremalityCommand:
         assert result.exit_code == 0
         report = json.loads(result.stdout)
         assert report["passed"] is True
-        for family in ("renyi", "tsallis"):
-            for entry in report[family].values():
-                assert entry["min_slack"] >= -1e-10
+        names = [f"{family}:{a}" for family in ("tsallis", "renyi") for a in report[family]]
+        assert [row["name"] for row in report["checks"]] == names
+        for row in report["checks"]:
+            assert row["slack"] >= -1e-10
 
     def test_non_tight_frame_exit_one(self, runner, tmp_path):
         from kdframes.frames import Frame
@@ -609,10 +624,12 @@ def test_state_help_lists_the_four_forms(runner, command):
 QUBIT_SIC_CHECKS = [
     "mixed-state gram matrix",
     "mixed-state gershgorin radius 1/4",
+    "mixed-state squared Frobenius norm",
     "mixed-state squared Frobenius norm, two closed forms agree",
     "pure-frame-state gram matrix",
     "pure-frame-state spectrum (2/3, 1/3, 0, 0)",
-    "largest-eigenvalue bound (1 + sqrt(11/3))/4 below 0.729",
+    "largest-eigenvalue bound (1 + sqrt(11/3))/4",
+    "largest-eigenvalue bound below 0.729",
     "purity-based interval radius sqrt(11/3)/4",
     "gershgorin union [0, 1]",
     "relative errors about 9.3% and 50%",
@@ -623,14 +640,14 @@ def _planted(build, leaf: tuple[str, ...]):
     """``build`` with the report leaf at that key path shifted by 1e-9 at frame-state:0."""
 
     def wrapper(frame, rho, state_spec, *args):
-        report, failures = build(frame, rho, state_spec, *args)
+        report = build(frame, rho, state_spec, *args)
         if state_spec == "frame-state:0":
             *parents, key = leaf
             node = report
             for parent in parents:
                 node = node[parent]
             node[key] = node[key] + 1e-9
-        return report, failures
+        return report
 
     return wrapper
 
@@ -643,21 +660,24 @@ class TestReproduceCommand:
         assert report["passed"] is True
         assert [entry["name"] for entry in report["checks"]] == QUBIT_SIC_CHECKS
         for entry in report["checks"]:
-            assert list(entry) == ["name", "pass", "actual", "expected", "max_deviation"]
-        by_name = {entry["name"]: entry for entry in report["checks"]}
+            assert list(entry) == ["name", "actual", "expected", "slack", "tolerance", "pass"]
+        by_name = rows_of(report)
         spectrum_entry = by_name["pure-frame-state spectrum (2/3, 1/3, 0, 0)"]
         assert spectrum_entry["actual"] == pytest.approx([2 / 3, 1 / 3, 0, 0], abs=1e-10)
-        bound_entry = by_name["largest-eigenvalue bound (1 + sqrt(11/3))/4 below 0.729"]
+        bound_entry = by_name["largest-eigenvalue bound (1 + sqrt(11/3))/4"]
         assert bound_entry["actual"] == pytest.approx((1 + np.sqrt(11 / 3)) / 4, abs=1e-12)
-        assert bound_entry["actual"] < 0.729
+        below_entry = by_name["largest-eigenvalue bound below 0.729"]
+        assert below_entry["actual"] == bound_entry["actual"] < below_entry["expected"] == 0.729
+        assert below_entry["slack"] == 0.729 - below_entry["actual"]
+        assert below_entry["tolerance"] == 0.0
 
     @pytest.mark.parametrize(
         "builder, leaf, failed",
         [
             (
                 "build_bounds_report",
-                ("eigen_interval", "max_eig_bound"),
-                "largest-eigenvalue bound (1 + sqrt(11/3))/4 below 0.729",
+                ("eigen_interval", "upper"),
+                "largest-eigenvalue bound (1 + sqrt(11/3))/4",
             ),
             ("build_kd_report", ("gram",), "pure-frame-state gram matrix"),
         ],
@@ -666,8 +686,7 @@ class TestReproduceCommand:
     def test_planted_leaf_error_fails_its_check(self, monkeypatch, builder, leaf, failed):
         # the checks read the reports users get: an error in one leaf fails one check
         monkeypatch.setattr(f"kdframes.cli.{builder}", _planted(getattr(cli, builder), leaf))
-        _, failures = build_qubit_sic_report()
-        assert failures == [failed]
+        assert failed_names(build_qubit_sic_report()) == [failed]
 
     def test_deterministic_output(self, runner):
         first = invoke(runner, ["reproduce", "qubit-sic", "--format", "json"])
@@ -676,33 +695,38 @@ class TestReproduceCommand:
 
     def test_structural_tolerance_governs_six_checks(self):
         # a negative tolerance fails every comparison that reads tol.structural
-        _, failures = build_qubit_sic_report(Tolerances(structural=-1.0))
-        assert failures == [
+        assert failed_names(build_qubit_sic_report(Tolerances(structural=-1.0))) == [
             "mixed-state gram matrix",
             "mixed-state gershgorin radius 1/4",
             "mixed-state squared Frobenius norm, two closed forms agree",
             "pure-frame-state gram matrix",
-            "largest-eigenvalue bound (1 + sqrt(11/3))/4 below 0.729",
+            "largest-eigenvalue bound (1 + sqrt(11/3))/4",
             "purity-based interval radius sqrt(11/3)/4",
         ]
+
+    def test_the_bound_below_0729_is_one_sided(self):
+        # its tolerance is 0 whatever the flags: no tolerance lets a bound above 0.729 pass
+        report = build_qubit_sic_report(Tolerances(structural=-1.0, numeric=-1.0))
+        assert rows_of(report)["largest-eigenvalue bound below 0.729"]["pass"] is True
 
     def test_failed_checks_named_on_stderr(self, runner):
         # at tolerance 0 the four comparisons that are off by rounding fail;
         # the two closed forms of the Frobenius norm and the purity radius agree exactly
         result = invoke(runner, ["reproduce", "qubit-sic", "--tol-structural", "0"])
         assert result.exit_code == 1
-        names = [
+        report = json.loads(result.stdout)
+        assert failed_names(report) == [
             "mixed-state gram matrix",
             "mixed-state gershgorin radius 1/4",
             "pure-frame-state gram matrix",
-            "largest-eigenvalue bound (1 + sqrt(11/3))/4 below 0.729",
+            "largest-eigenvalue bound (1 + sqrt(11/3))/4",
         ]
-        assert result.stderr == f"check failed: {', '.join(names)}\n"
+        assert result.stderr == failure_line(report)
 
     def test_structural_flag_reaches_closed_form_comparisons(self):
         # the computed bound is 3.3e-16 from its closed form
-        _, failures = build_qubit_sic_report(Tolerances(structural=1e-17))
-        assert "largest-eigenvalue bound (1 + sqrt(11/3))/4 below 0.729" in failures
+        report = build_qubit_sic_report(Tolerances(structural=1e-17))
+        assert "largest-eigenvalue bound (1 + sqrt(11/3))/4" in failed_names(report)
 
     def test_table_format(self, runner):
         result = invoke(runner, ["reproduce", "qubit-sic", "--format", "table"])
@@ -760,41 +784,85 @@ GUARD_MESSAGES = {
 }
 
 
+TOLERANCE_FLAGS = ["--tol-structural", "--tol-numeric", "--tol-saturation"]
+# Command -> the --tol-* flags it offers: those of the tolerances its report reads.
+OFFERED_FLAGS = {
+    "kd": ["--tol-structural", "--tol-numeric"],
+    "bounds": TOLERANCE_FLAGS,
+    EXTREMALITY: ["--tol-structural", "--tol-numeric"],
+    "reproduce qubit-sic": ["--tol-structural", "--tol-numeric"],
+    "frame check": ["--tol-numeric"],
+}
+OFFERED = [(command, flag) for command, flags in OFFERED_FLAGS.items() for flag in flags]
+NOT_OFFERED = [
+    (command, flag)
+    for command, flags in OFFERED_FLAGS.items()
+    for flag in TOLERANCE_FLAGS
+    if flag not in flags
+]
+
+
+def _case_id(case: tuple[str, str]) -> str:
+    command, flag = case
+    return f"{command.partition(' --')[0].replace(' ', '-')}{flag}"
+
+
+def _frame_args(command: str, sweep_files) -> list[str]:
+    return [] if command.startswith("reproduce") else [sweep_files["sic"]]
+
+
 class TestToleranceSweep:
-    """Any value of any --tol-* flag ends in exit 0, 1 or 2, never a traceback."""
+    """Any value of any --tol-* flag a command offers ends in exit 0, 1 or 2,
+    never a traceback; a flag it does not offer is no option."""
 
     @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan", "1e-6"])
-    @pytest.mark.parametrize("flag", ["--tol-numeric", "--tol-structural", "--tol-saturation"])
-    @pytest.mark.parametrize("frame_name", list(SWEEP_FRAMES))
     @pytest.mark.parametrize(
-        "command",
-        ["kd", "bounds", EXTREMALITY, "frame check"],
-        ids=["kd", "bounds", "verify-extremality", "frame-check"],
+        "case, frame_name",
+        [
+            (case, frame_name)
+            for case in OFFERED
+            for frame_name in ([None] if case[0].startswith("reproduce") else SWEEP_FRAMES)
+        ],
+        ids=lambda x: _case_id(x) if isinstance(x, tuple) else x or "built-in",
     )
-    def test_exit_code_without_traceback(
-        self, runner, sweep_files, command, frame_name, flag, value
-    ):
+    def test_exit_code_without_traceback(self, runner, sweep_files, case, frame_name, value):
         # invoke lets any exception other than SystemExit propagate and fail the test
-        args = command.split() + [sweep_files[frame_name], flag, value, "--format", "json"]
-        result = invoke(runner, args)
+        command, flag = case
+        frame = [sweep_files[frame_name]] if frame_name else []
+        result = invoke(runner, command.split() + frame + [flag, value, "--format", "json"])
         assert result.exit_code in (0, 1, 2)
         assert "Traceback" not in result.stderr
+        if result.stdout:
+            # a printed report keeps the row contract, and exit 1 names its failed rows
+            report = json.loads(result.stdout)
+            assert_check_rows(report)
+            assert result.exit_code == (0 if report["passed"] else 1)
+            if result.exit_code:
+                label = "invariant failure" if command == "frame check" else "check failed"
+                assert result.stderr == failure_line(report, label)
 
     @pytest.mark.parametrize("value", ["-1", "nan"])
-    @pytest.mark.parametrize("flag", ["--tol-numeric", "--tol-structural", "--tol-saturation"])
-    @pytest.mark.parametrize(
-        "command",
-        ["kd", "bounds", EXTREMALITY, "reproduce qubit-sic", "frame check"],
-        ids=["kd", "bounds", "verify-extremality", "reproduce-qubit-sic", "frame-check"],
-    )
-    def test_negative_or_nan_tolerance_is_unusable_input(
-        self, runner, sweep_files, command, flag, value
-    ):
-        frame = [] if command.startswith("reproduce") else [sweep_files["sic"]]
-        result = invoke(runner, command.split() + frame + [flag, value])
+    @pytest.mark.parametrize("case", OFFERED, ids=_case_id)
+    def test_negative_or_nan_tolerance_is_unusable_input(self, runner, sweep_files, case, value):
+        command, flag = case
+        result = invoke(runner, command.split() + _frame_args(command, sweep_files) + [flag, value])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert f"Invalid value for '{flag}'" in result.stderr
+
+    @pytest.mark.parametrize("case", NOT_OFFERED, ids=_case_id)
+    def test_a_tolerance_the_report_does_not_read_is_no_option(self, runner, sweep_files, case):
+        command, flag = case
+        result = invoke(runner, command.split() + _frame_args(command, sweep_files) + [flag, "0"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"No such option '{flag}'" in result.stderr
+
+    @pytest.mark.parametrize("command", list(OFFERED_FLAGS), ids=lambda c: c.split(" --")[0])
+    def test_the_report_prints_the_tolerances_offered(self, runner, sweep_files, command):
+        args = command.split() + _frame_args(command, sweep_files) + ["--format", "json"]
+        tolerances = json.loads(invoke(runner, args).stdout)["tolerances"]
+        assert [f"--tol-{name}" for name in tolerances] == OFFERED_FLAGS[command]
 
     @pytest.mark.parametrize("case", GUARD_CASES, ids=" ".join)
     def test_library_guard_is_a_named_check_failure(self, runner, sweep_files, case):
@@ -805,3 +873,65 @@ class TestToleranceSweep:
         assert result.stdout == ""
         assert result.stderr.startswith(f"check failed: {GUARD_MESSAGES[frame_name]}")
         assert result.stderr.count("\n") == 1
+
+
+def _report_at(command: str, tol: Tolerances) -> dict:
+    """The report of a command on the qubit SIC at frame state 0, at these tolerances."""
+    frame = sic_qubit()
+    rho = io.resolve_state("frame-state:0", frame)
+    if command == "frame check":
+        return cli.build_frame_check_report(frame.vectors, tol)
+    if command == "kd":
+        return cli.build_kd_report(frame, rho, "frame-state:0", tol)
+    if command == "verify-extremality":
+        alphas = [0.5, 1.0, 2.0, 5.0]
+        return cli.build_extremality_report(frame, rho, "frame-state:0", 20, 0, alphas, tol)
+    return cli.build_qubit_sic_report(tol)
+
+
+@pytest.mark.parametrize("value", [0.0, np.inf])
+@pytest.mark.parametrize(
+    "command, unread",
+    [
+        ("frame check", "structural"),
+        ("frame check", "saturation"),
+        ("kd", "saturation"),
+        ("verify-extremality", "saturation"),
+        ("reproduce qubit-sic", "saturation"),
+    ],
+)
+def test_a_tolerance_the_report_does_not_read_changes_nothing(command, unread, value):
+    report = _report_at(command, Tolerances(**{unread: value}))
+    assert report["tolerances"] == _report_at(command, Tolerances())["tolerances"]
+    dump = json.dumps(report, default=_json_default)
+    assert dump == json.dumps(_report_at(command, Tolerances()), default=_json_default)
+
+
+def test_failure_line_names_each_failed_row_with_its_slack_and_tolerance(
+    runner, monkeypatch, tmp_path
+):
+    # Disks of radius 0 and a closed-form interval shrunk to its center fail
+    # two rows by far more than the tolerance; the other rows still pass.
+    path = tmp_path / "paley7.json"
+    io.dump_frame(paley_frame(7), path)
+    disks, closed = cli.gershgorin_disks, cli.etf_eigen_interval
+
+    def centers_only(gram):
+        centers, radii = disks(gram)
+        return centers, 0.0 * radii
+
+    def center_point(*args):
+        center = 0.5 * (closed(*args).lower + closed(*args).upper)
+        return Interval(center, center)
+
+    monkeypatch.setattr(cli, "gershgorin_disks", centers_only)
+    monkeypatch.setattr(cli, "etf_eigen_interval", center_point)
+    args = ["bounds", str(path), "--state", "frame-state:0", "--format", "json"]
+    result = invoke(runner, args)
+    assert result.exit_code == 1
+    report = json.loads(result.stdout)
+    assert failed_names(report) == ["gershgorin", "closed_form_interval"]
+    assert result.stderr == failure_line(report)
+    for row in report["checks"]:
+        listed = f"{row['name']} (slack {row['slack']!r} < -{row['tolerance']!r})"
+        assert (listed in result.stderr) is not row["pass"]
