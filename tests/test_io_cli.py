@@ -802,6 +802,9 @@ NOT_OFFERED = [
 ]
 
 
+SWEEP_VALUES = ["0", "-1", "inf", "nan", "1e-6"]
+
+
 def _case_id(case: tuple[str, str]) -> str:
     command, flag = case
     return f"{command.partition(' --')[0].replace(' ', '-')}{flag}"
@@ -815,7 +818,7 @@ class TestToleranceSweep:
     """Any value of any --tol-* flag a command offers ends in exit 0, 1 or 2,
     never a traceback; a flag it does not offer is no option."""
 
-    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan", "1e-6"])
+    @pytest.mark.parametrize("value", SWEEP_VALUES)
     @pytest.mark.parametrize(
         "case, frame_name",
         [
@@ -850,13 +853,18 @@ class TestToleranceSweep:
         assert result.stdout == ""
         assert f"Invalid value for '{flag}'" in result.stderr
 
+    @pytest.mark.parametrize("value", SWEEP_VALUES)
     @pytest.mark.parametrize("case", NOT_OFFERED, ids=_case_id)
-    def test_a_tolerance_the_report_does_not_read_is_no_option(self, runner, sweep_files, case):
+    def test_a_tolerance_the_report_does_not_read_is_no_option(
+        self, runner, sweep_files, case, value
+    ):
+        # whatever its value, a flag the command does not offer is rejected before any work
         command, flag = case
-        result = invoke(runner, command.split() + _frame_args(command, sweep_files) + [flag, "0"])
+        result = invoke(runner, command.split() + _frame_args(command, sweep_files) + [flag, value])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert f"No such option '{flag}'" in result.stderr
+        assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("command", list(OFFERED_FLAGS), ids=lambda c: c.split(" --")[0])
     def test_the_report_prints_the_tolerances_offered(self, runner, sweep_files, command):
