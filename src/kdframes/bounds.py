@@ -141,10 +141,9 @@ def gershgorin_disks(m) -> tuple[np.ndarray, np.ndarray]:
     return np.diagonal(m).copy(), radii
 
 
-def gershgorin_union(m) -> Interval:
-    """Real interval holding every eigenvalue of a PSD matrix: the real
-    extent of its Gershgorin disks, with the lower end clamped at 0."""
-    centers, radii = gershgorin_disks(m)
+def gershgorin_union(centers, radii) -> Interval:
+    """Real interval holding every eigenvalue of a PSD matrix: the real extent
+    of its ``gershgorin_disks``, with the lower end clamped at 0."""
     lower = float((centers.real - radii).min())
     upper = float((centers.real + radii).max())
     return Interval(max(0.0, lower), upper)

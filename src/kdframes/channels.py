@@ -14,11 +14,12 @@ operators: O(m d^3 + m^2 d^2) for m operators on C^d.
 
 The principal operators of a tight frame are rank one, so their Gram
 matrix has the closed form of ``frame_gram``: O(n^2 d + n d^2) time and
-O(n^2) memory for n vectors in C^d, with no (n, d, d) Kraus stack. The
-Kirkwood-Dirac matrix tr(E_i E_j rho) of the frame's POVM is (d/n) times
-that Gram matrix. The outcome distribution of the re-unraveling by an
-n-by-n unitary V is diag(V^dag G V), one more O(n^3) product
-(``mixed_probabilities``, which also takes a stack of unitaries).
+O(n^2) memory for n vectors in C^d, with no (n, d, d) Kraus stack; it is
+also every report's one tightness guard. The Kirkwood-Dirac matrix
+tr(E_i E_j rho) of the frame's POVM is (d/n) times that Gram matrix. The
+outcome distribution of the re-unraveling by an n-by-n unitary V is
+diag(V^dag G V), one more O(n^3) product (``mixed_probabilities``, which
+also takes a stack of unitaries).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import DensityMatrix, Frame, frame_operator, gram_matrix
+from .frames import DensityMatrix, Frame, gram_matrix, is_tight
 from .linalg import require_finite, require_identity
 
 
@@ -87,18 +88,18 @@ def frame_gram(f: Frame, rho: DensityMatrix) -> np.ndarray:
     With A_j = sqrt(d/n) |phi_j><phi_j|, entry (i, j) is
     (d/n) <phi_i|phi_j> <phi_j|rho|phi_i>, so G = (d/n) (F* F^T) o (F* rho F^T)^T
     for the frame vectors F as rows. Equal to
-    ``unraveling_gram(principal_kraus(f), rho)``; like ``principal_kraus``
-    it rejects a frame that is not tight, whose sum A^dag A is not I.
+    ``unraveling_gram(principal_kraus(f), rho)``. It rejects a frame that
+    is not tight (``is_tight``, at NUMERIC_TOL), which induces no POVM.
     The result is exactly Hermitian: averaged with its conjugate transpose,
     G[j, i] equals conj(G[i, j]) exactly (a zero imaginary part may carry
     either sign) and the diagonal's imaginary part is +0.0.
     """
-    scale = f.d / f.n
-    require_identity(scale * frame_operator(f), "sum A^dag A")
+    if not is_tight(f):
+        raise ValueError("frame is not tight, it induces no POVM")
     if f.d != rho.d:
         raise ValueError(f"dimension mismatch: Kraus input C^{f.d}, state C^{rho.d}")
     v = f.vectors
-    g = scale * gram_matrix(f) * (v.conj() @ rho.matrix @ v.T).T
+    g = f.d / f.n * gram_matrix(f) * (v.conj() @ rho.matrix @ v.T).T
     return 0.5 * (g + g.conj().T)
 
 

@@ -38,7 +38,6 @@ from .frames import (
     complement_etf,
     frame_operator,
     is_equiangular,
-    is_tight,
     purity,
     sic_qubit,
     tightness_deviation,
@@ -234,11 +233,6 @@ def _alpha_key(alpha: float) -> str:
     return short if float(short) == alpha else repr(alpha)
 
 
-def _require_tight(frame: Frame, tol: Tolerances) -> None:
-    if not is_tight(frame, tol.numeric):
-        raise ValueError("frame is not tight, it induces no POVM")
-
-
 # Entropy family -> its entropy, for both the bounds and the extremality report.
 _ENTROPIES = {"renyi": renyi_entropy, "tsallis": tsallis_entropy}
 
@@ -329,7 +323,6 @@ def build_kd_report(
     definition tr(A_i^dag A_j rho) of the Gram matrix (``unraveling_gram``
     on the principal Kraus operators): max |kd - (d/n) unraveling_gram|.
     """
-    _require_tight(frame, tol)
     scale = frame.d / frame.n
     gram = frame_gram(frame, rho)
     kd = scale * gram
@@ -362,11 +355,10 @@ def build_bounds_report(
     largest-eigenvalue bound, the interval's upper end. The coincidence and
     entropy rows also say whether the bound is saturated.
     """
-    _require_tight(frame, tol)
-    if frame.n < 2 or is_equiangular(frame, tol.numeric) is None:
+    gram = frame_gram(frame, rho)
+    if frame.n < 2 or is_equiangular(frame) is None:
         raise ValueError("closed-form bounds need an equiangular tight frame")
     n, d = frame.n, frame.d
-    gram = frame_gram(frame, rho)
     spectrum = hermitian_eigvals(gram)
     true_max = float(spectrum[0])
     state_purity = purity(rho)
@@ -380,7 +372,7 @@ def build_bounds_report(
     ic_achieved = index_of_coincidence(probs)
     interval = eigen_interval(gram)
     centers, radii = gershgorin_disks(gram)
-    union = gershgorin_union(gram)
+    union = gershgorin_union(centers, radii)
     closed_interval = etf_eigen_interval(n, d, state_purity)
     # each eigenvalue's depth inside its best disk; the worst eigenvalue counts
     g_slack = (radii - np.abs(spectrum[:, None] - centers)).max(axis=1).min()
@@ -466,7 +458,6 @@ def build_extremality_report(
     its orders to their extremal entropy, and the check row
     ``<family>:<order>`` holds the least sampled slack above it.
     """
-    _require_tight(frame, tol)
     gram = frame_gram(frame, rho)
     extremal_probs = _clamp_zeros(hermitian_eigvals(gram), tol)
     orders = {
@@ -530,10 +521,8 @@ def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> dict:
     of ``sic_qubit()`` at the maximally mixed state and at frame state 0. Its
     slack is -max |actual - expected| elementwise, complex matrices compared
     as [re, im] pairs; "below 0.729" is one-sided, with slack 0.729 - bound
-    at tolerance 0. The inner reports run at the default tolerances, and no
-    value read here depends on them, so ``tol`` governs the checks only:
-    passed through, ``--tol-numeric 0`` would have the tightness guard reject
-    the SIC and no report would print.
+    at tolerance 0. The inner reports run at the default tolerances: no
+    value read here depends on them, and ``tol`` governs the checks only.
     """
     frame = sic_qubit()
     n, d = frame.n, frame.d

@@ -117,9 +117,9 @@ def tightness_deviation(operator: np.ndarray, n: int) -> float:
     return float(np.linalg.norm(operator - target * np.eye(len(operator))) / target)
 
 
-def is_tight(f: Frame, tol: float = NUMERIC_TOL) -> bool:
-    """Whether the frame operator equals (n/d) I within relative tolerance."""
-    return tightness_deviation(frame_operator(f), f.n) <= tol
+def is_tight(f: Frame) -> bool:
+    """Whether the frame operator equals (n/d) I within NUMERIC_TOL, relative."""
+    return tightness_deviation(frame_operator(f), f.n) <= NUMERIC_TOL
 
 
 def is_equiangular(f: Frame, tol: float = NUMERIC_TOL) -> float | None:

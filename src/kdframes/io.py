@@ -10,6 +10,7 @@ write -> read -> write is bit-stable.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,12 @@ def pairs_to_complex(data, name: str = "array") -> np.ndarray:
         raise FrameFileError(f"{name} must be nested [re, im] arrays: {exc}") from None
     if a.ndim < 2 or a.shape[-1] != 2:
         raise FrameFileError(f"{name} must have [re, im] pairs innermost, got shape {a.shape}")
+    # float() also reads the strings "0.5" and "nan" and the booleans true and false
+    leaves = data
+    for _ in range(a.ndim - 1):
+        leaves = chain.from_iterable(leaves)
+    if not {*map(type, leaves)}.isdisjoint((str, bool)):
+        raise FrameFileError(f"{name} must hold JSON numbers, not strings or booleans")
     if not np.all(np.isfinite(a)):
         raise FrameFileError(f"{name} contains non-finite entries")
     return a[..., 0] + 1j * a[..., 1]

@@ -18,6 +18,7 @@ from helpers import (
 )
 from kdframes.bounds import (
     eigen_interval,
+    gershgorin_disks,
     gershgorin_union,
     gram_frobenius_sq,
     ic_upper_bound,
@@ -83,7 +84,7 @@ def test_criterion_2_spectral_bound_comparison(sic):
     relative = (bound - true_max) / true_max
     assert abs(relative - 0.093) <= 1e-3
 
-    union_upper = gershgorin_union(gram).upper
+    union_upper = gershgorin_union(*gershgorin_disks(gram)).upper
     assert abs(union_upper - 1.0) <= 1e-10
     gershgorin_relative = (union_upper - true_max) / true_max
     assert abs(gershgorin_relative - 0.5) <= 1e-3

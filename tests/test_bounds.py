@@ -223,7 +223,7 @@ class TestGershgorin:
             assert radius == 0.0
 
     def test_sic_pure_union_is_unit_interval(self, sic):
-        union = gershgorin_union(sic_pure_gram(sic))
+        union = gershgorin_union(*gershgorin_disks(sic_pure_gram(sic)))
         assert union.upper == pytest.approx(1.0, abs=1e-12)
         assert union.lower == pytest.approx(0.0, abs=1e-12)
 
@@ -231,7 +231,7 @@ class TestGershgorin:
     def test_union_holds_psd_spectrum_above_zero(self, seed):
         a = random_complex_matrix(4, 4, rng_for(seed))
         m = a @ a.conj().T
-        union = gershgorin_union(m)
+        union = gershgorin_union(*gershgorin_disks(m))
         spectrum = np.linalg.eigvalsh(m)
         assert union.lower >= 0.0
         assert union.lower - 1e-9 <= spectrum[0] and spectrum[-1] <= union.upper + 1e-9
@@ -246,7 +246,7 @@ class TestGershgorin:
         assert radii.dtype == np.float64 and radii.shape == (5,)
         assert np.array_equal(centers, np.diagonal(m))
         assert np.allclose(radii, np.abs(m).sum(axis=1) - np.abs(np.diagonal(m)))
-        union = gershgorin_union(m)
+        union = gershgorin_union(*gershgorin_disks(m))
         assert union.lower == (centers.real - radii).min() > 0.0
         assert union.upper == (centers.real + radii).max()
 

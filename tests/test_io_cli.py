@@ -129,6 +129,62 @@ class TestFrameFileSizeFields:
         )
 
 
+REPORT_COMMANDS = [["kd"], ["bounds"], ["verify-extremality", "--samples", "5"]]
+
+
+def _stringify(data):
+    return [_stringify(x) for x in data] if isinstance(data, list) else repr(data)
+
+
+# JSON strings and booleans that float() would read as numbers: all strings,
+# all booleans, and one boolean among numbers, which numpy promotes silently.
+NOT_NUMBERS = {
+    "strings": _stringify,
+    "booleans": lambda data: [[[x != 0 for x in pair] for pair in row] for row in data],
+    "one-boolean": lambda data: [[[True, *data[0][0][1:]], *data[0][1:]], *data[1:]],
+}
+
+
+class TestEntriesMustBeNumbers:
+    """A frame or state file whose entries are JSON strings or booleans is
+    unusable input, named on one line."""
+
+    @pytest.mark.parametrize("edit", list(NOT_NUMBERS.values()), ids=list(NOT_NUMBERS))
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["frame", "check"],
+            ["kd"],
+            ["bounds"],
+            ["verify-extremality", "--samples", "2"],
+            ["frame", "gen", "complement"],
+        ],
+        ids=" ".join,
+    )
+    def test_frame_file(self, runner, tmp_path, command, edit):
+        document = io.frame_to_dict(sic_qubit())
+        document["vectors"] = edit(document["vectors"].tolist())
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(document))
+        result = invoke(runner, command + [str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "Error: vectors must hold JSON numbers, not strings or booleans\n"
+
+    @pytest.mark.parametrize("edit", list(NOT_NUMBERS.values()), ids=list(NOT_NUMBERS))
+    @pytest.mark.parametrize("command", REPORT_COMMANDS, ids=lambda c: c[0])
+    def test_state_file(self, runner, sic_file, tmp_path, command, edit):
+        pure = np.diag([1.0, 0.0]).astype(complex)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(edit(io.complex_to_pairs(pure).tolist())))
+        args = [command[0], sic_file, *command[1:], "--state", f"matrix:{path}"]
+        result = invoke(runner, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        expected = "Error: state matrix must hold JSON numbers, not strings or booleans\n"
+        assert result.stderr == expected
+
+
 # Files no JSON parser can read: bytes that are not UTF-8, and nesting deeper
 # than the decoder's recursion limit.
 UNREADABLE_JSON = {
@@ -778,8 +834,8 @@ GUARD_CASES = [
     (EXTREMALITY, "sic", "--tol-structural", "inf"),
 ]
 GUARD_MESSAGES = {
-    "non-tight": "sum A^dag A must be the identity",
-    "nudged-sic": "sum A^dag A must be the identity",
+    "non-tight": "frame is not tight, it induces no POVM",
+    "nudged-sic": "frame is not tight, it induces no POVM",
     "sic": "probabilities must sum to 1, got 0.0",
 }
 
@@ -881,6 +937,58 @@ class TestToleranceSweep:
         assert result.stdout == ""
         assert result.stderr.startswith(f"check failed: {GUARD_MESSAGES[frame_name]}")
         assert result.stderr.count("\n") == 1
+
+
+def _rotated_sic() -> Frame:
+    """The qubit SIC with vector 1 rotated by 1e-6 rad: unit vectors, and a
+    frame operator about 5e-7 (relative) from that of a tight frame."""
+    vectors = sic_qubit().vectors.copy()
+    c, s = np.cos(1e-6), np.sin(1e-6)
+    vectors[1] = np.array([[c, -s], [s, c]]) @ vectors[1]
+    return Frame(vectors)
+
+
+class TestPreconditionsIgnoreTheFlags:
+    """Tightness, and for bounds equiangularity, are guards at NUMERIC_TOL:
+    --tol-numeric moves report rows, never whether a frame qualifies."""
+
+    @pytest.mark.parametrize("value", ["0", "1e-16"])
+    @pytest.mark.parametrize("state", ["maximally-mixed", "frame-state:0"])
+    @pytest.mark.parametrize("command", REPORT_COMMANDS, ids=lambda c: c[0])
+    def test_tight_frame_prints_a_report_at_any_tolerance(
+        self, runner, tmp_path, command, state, value
+    ):
+        path = tmp_path / "paley7.json"
+        io.dump_frame(paley_frame(7), path)
+        args = [command[0], str(path), *command[1:], "--state", state]
+        result = invoke(runner, args + ["--tol-numeric", value, "--format", "json"])
+        report = json.loads(result.stdout)
+        assert_check_rows(report)
+        assert result.exit_code == (0 if report["passed"] else 1)
+        assert result.stderr == ("" if report["passed"] else failure_line(report))
+
+    @pytest.mark.parametrize("command", REPORT_COMMANDS, ids=lambda c: c[0])
+    def test_nearly_tight_frame_gets_one_message_at_any_tolerance(
+        self, runner, tmp_path, command
+    ):
+        path = tmp_path / "rotated.json"
+        io.dump_frame(_rotated_sic(), path)
+        for value in ["1e-10", "1e-3", "inf"]:
+            result = invoke(runner, [command[0], str(path), *command[1:], "--tol-numeric", value])
+            assert result.exit_code == 1
+            assert result.stdout == ""
+            assert result.stderr == "check failed: frame is not tight, it induces no POVM\n"
+
+    @pytest.mark.parametrize("value", ["1e-10", "inf"])
+    def test_bounds_needs_an_etf_at_any_tolerance(self, runner, tmp_path, value):
+        # two orthonormal bases of C^2: tight, with squared overlaps 0 and 1/2
+        bases = np.array([[1, 0], [0, 1], [S2, S2], [S2, -S2]], dtype=complex)
+        path = tmp_path / "bases.json"
+        io.dump_frame(Frame(bases), path)
+        result = invoke(runner, ["bounds", str(path), "--tol-numeric", value])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "check failed: closed-form bounds need an equiangular tight frame\n"
 
 
 def _report_at(command: str, tol: Tolerances) -> dict:

@@ -1,7 +1,7 @@
 """Lint for the tolerance policy: the --tol-* flags govern the checks a report
 prints, and every other guard uses one of the three constants in linalg.
 
-The library keeps three float tolerance keywords, each set by some caller;
+The library keeps two float tolerance keywords, each set by some caller;
 anything else that needs a tolerance reads STRUCTURAL_TOL, NUMERIC_TOL or
 SATURATION_TOL, and no tolerance is written out as a literal.
 """
@@ -12,7 +12,6 @@ from pathlib import Path
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "kdframes"
 ALLOWED_KEYWORDS = {
     "Frame.__post_init__(norm_tol)",
-    "is_tight(tol)",
     "is_equiangular(tol)",
 }
 CONSTANTS = {"STRUCTURAL_TOL", "NUMERIC_TOL", "SATURATION_TOL"}
@@ -33,7 +32,7 @@ def _functions(node, prefix=""):
             yield from _functions(child, f"{prefix}{child.name}.")
 
 
-def test_tolerance_keywords_are_the_three_allowed():
+def test_tolerance_keywords_are_the_two_allowed():
     found = set()
     for _, tree in _modules():
         for name, function in _functions(tree):
