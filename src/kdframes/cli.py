@@ -42,7 +42,7 @@ from .frames import (
     sic_qubit,
     tightness_deviation,
 )
-from .linalg import Tolerances, haar_unitary, hermitian_eigvals
+from .linalg import STRUCTURAL_TOL, Tolerances, haar_unitary, hermitian_eigvals
 
 
 class InputError(click.ClickException):
@@ -61,16 +61,15 @@ def _tolerance(ctx, param, value: float) -> float:
 _TOLERANCE_HELP = {
     "structural": "Absolute tolerance for structural identities.",
     "numeric": "Tolerance for numerical comparisons and pass flags.",
-    "saturation": "Tolerance below which a bound counts as saturated.",
 }
 
-# Report command -> the tolerances its checks read: the command offers their
-# --tol-* flags, and its report prints them.
+# Report command -> the tolerances its check rows compare with: the command
+# offers their --tol-* flags, and its report prints them.
 _TOLERANCES_READ = {
     "frame check": ("numeric",),
-    "kd": ("structural", "numeric"),
-    "bounds": ("structural", "numeric", "saturation"),
-    "verify-extremality": ("structural", "numeric"),
+    "kd": ("structural",),
+    "bounds": ("numeric",),
+    "verify-extremality": ("numeric",),
     "reproduce qubit-sic": ("structural", "numeric"),
 }
 
@@ -250,10 +249,10 @@ def _relative_error(bound: float, true_max: float) -> float | None:
     return (bound - true_max) / true_max if true_max > 0 else None
 
 
-def _clamp_zeros(spectrum: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _clamp_zeros(spectrum: np.ndarray) -> np.ndarray:
     """Extremal outcome probabilities: the Gram spectrum with entries within
-    the structural tolerance of zero set to exactly zero."""
-    return np.where(np.abs(spectrum) <= tol.structural, 0.0, spectrum)
+    STRUCTURAL_TOL of zero set to exactly zero, whatever the --tol-* flags."""
+    return np.where(np.abs(spectrum) <= STRUCTURAL_TOL, 0.0, spectrum)
 
 
 def _finite(value):
@@ -297,7 +296,7 @@ def build_frame_check_report(raw_vectors: np.ndarray, tol: Tolerances = Toleranc
         frame = Frame(raw_vectors, norm_tol=np.inf)
         operator = frame_operator(frame)
         checks.append(_check("tight", -tightness_deviation(operator, n), tol.numeric))
-        measured_c = is_equiangular(frame, tol.numeric) if n >= 2 else None
+        measured_c = is_equiangular(frame) if n >= 2 else None
         # Hermitian by construction; eigvalsh reads one triangle, so rounding cannot abort.
         spectrum = np.linalg.eigvalsh(operator)[::-1]
         report.update(
@@ -353,7 +352,7 @@ def build_bounds_report(
     Each bound is one check row. An interval's slack is the least distance
     of any eigenvalue to its nearer end, so its row also checks the
     largest-eigenvalue bound, the interval's upper end. The coincidence and
-    entropy rows also say whether the bound is saturated.
+    entropy rows also say whether the bound is saturated: |slack| <= tolerance.
     """
     gram = frame_gram(frame, rho)
     if frame.n < 2 or is_equiangular(frame) is None:
@@ -363,10 +362,10 @@ def build_bounds_report(
     true_max = float(spectrum[0])
     state_purity = purity(rho)
     probs = clean_probabilities(np.diagonal(gram).real)
-    extremal = _clamp_zeros(spectrum, tol)
+    extremal = _clamp_zeros(spectrum)
 
     def saturable(name: str, slack: float) -> dict:
-        return {**_check(name, slack, tol.numeric), "saturated": bool(abs(slack) <= tol.saturation)}
+        return {**_check(name, slack, tol.numeric), "saturated": bool(abs(slack) <= tol.numeric)}
 
     ic_bound = ic_upper_bound(n, d, state_purity)
     ic_achieved = index_of_coincidence(probs)
@@ -459,7 +458,7 @@ def build_extremality_report(
     ``<family>:<order>`` holds the least sampled slack above it.
     """
     gram = frame_gram(frame, rho)
-    extremal_probs = _clamp_zeros(hermitian_eigvals(gram), tol)
+    extremal_probs = _clamp_zeros(hermitian_eigvals(gram))
     orders = {
         "tsallis": [a for a in alphas if np.isfinite(a)],
         "renyi": sorted({*alphas, np.inf}),
@@ -549,38 +548,38 @@ def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> dict:
     radius = etf_eigen_interval(n, d, bounds_pure["purity"]).radius
     union = np.array([gershgorin["union_lower"], gershgorin["union_upper"]])
     errors = np.array([interval["relative_error_vs_max"], gershgorin["relative_error_vs_max"]])
-    structural, numeric = tol.structural, tol.numeric
+    exact_errors = np.array([3.0 * (1.0 + root) / 8.0 - 1.0, 0.5])  # about 9.3% and 50%
 
     def check(name: str, actual, expected, tolerance: float) -> dict:
         slack = -np.max(np.abs(np.subtract(actual, expected)))
         return _check(name, slack, tolerance, actual=actual, expected=expected)
 
     checks = [
-        check("mixed-state gram matrix", kd_mixed["gram"], pairs_mixed, structural),
-        check("mixed-state gershgorin radius 1/4", radii, (n - 1) * c / n, structural),
-        check("mixed-state squared Frobenius norm", frobenius, frobenius_a, numeric),
+        check("mixed-state gram matrix", kd_mixed["gram"], pairs_mixed, tol.structural),
+        check("mixed-state gershgorin radius 1/4", radii, (n - 1) * c / n, tol.structural),
+        check("mixed-state squared Frobenius norm", frobenius, frobenius_a, tol.numeric),
         # closed form b against closed form a
         check(
             "mixed-state squared Frobenius norm, two closed forms agree",
             frobenius_b,
             frobenius_a,
-            structural,
+            tol.structural,
         ),
-        check("pure-frame-state gram matrix", kd_pure["gram"], pairs_pure, structural),
+        check("pure-frame-state gram matrix", kd_pure["gram"], pairs_pure, tol.structural),
         check(
             "pure-frame-state spectrum (2/3, 1/3, 0, 0)",
             kd_pure["gram_spectrum"],
             np.array([2.0 / 3.0, 1.0 / 3.0, 0.0, 0.0]),
-            numeric,
+            tol.numeric,
         ),
-        check("largest-eigenvalue bound (1 + sqrt(11/3))/4", bound, (1.0 + root) / 4.0, structural),
+        check("largest-eigenvalue bound (1 + sqrt(11/3))/4", bound, (1 + root) / 4, tol.structural),
         # one-sided: a bound at or below 0.729 passes
         _check(
             "largest-eigenvalue bound below 0.729", 0.729 - bound, 0.0, actual=bound, expected=0.729
         ),
-        check("purity-based interval radius sqrt(11/3)/4", radius, root / 4.0, structural),
-        check("gershgorin union [0, 1]", union, np.array([0.0, 1.0]), numeric),
-        check("relative errors about 9.3% and 50%", errors, np.array([0.093, 0.5]), 1e-3),
+        check("purity-based interval radius sqrt(11/3)/4", radius, root / 4.0, tol.structural),
+        check("gershgorin union [0, 1]", union, np.array([0.0, 1.0]), tol.numeric),
+        check("relative errors 3(1 + sqrt(11/3))/8 - 1 and 1/2", errors, exact_errors, tol.numeric),
     ]
     report = {
         "command": "reproduce qubit-sic",

@@ -122,14 +122,14 @@ def is_tight(f: Frame) -> bool:
     return tightness_deviation(frame_operator(f), f.n) <= NUMERIC_TOL
 
 
-def is_equiangular(f: Frame, tol: float = NUMERIC_TOL) -> float | None:
-    """Common squared overlap |<phi_i|phi_j>|^2 when one exists, else None."""
+def is_equiangular(f: Frame) -> float | None:
+    """Common squared overlap |<phi_i|phi_j>|^2 if all agree within NUMERIC_TOL, else None."""
     if f.n < 2:
         raise ValueError("equiangularity needs at least two vectors")
     overlaps = np.abs(gram_matrix(f)) ** 2
     off = overlaps[~np.eye(f.n, dtype=bool)]
     # `not <=` also rejects a NaN spread, as overflowed (infinite) overlaps give
-    if not float(off.max() - off.min()) <= tol:
+    if not float(off.max() - off.min()) <= NUMERIC_TOL:
         return None
     return float(off.mean())
 

@@ -16,17 +16,15 @@ import numpy as np
 STRUCTURAL_TOL = 1e-12
 # Tolerance for numerical identities (residuals, probability sums).
 NUMERIC_TOL = 1e-10
-# A bound counts as saturated when |bound - achieved| is below this.
-SATURATION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The three tolerances a report checks against, one per constant above."""
+    """The two tolerances a report's check rows compare their slacks with,
+    one per constant above; no other computation reads them."""
 
     structural: float = STRUCTURAL_TOL
     numeric: float = NUMERIC_TOL
-    saturation: float = SATURATION_TOL
 
 
 def require_finite(a: np.ndarray, name: str) -> np.ndarray:

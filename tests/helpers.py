@@ -104,7 +104,8 @@ def assert_check_rows(report: dict) -> None:
     ``saturated`` after them on the coincidence and entropy rows of ``bounds``
     and ``actual, expected`` after the name on ``reproduce`` rows; a row
     passes exactly when its slack is at least -tolerance, and a null slack
-    fails."""
+    fails; a row is saturated exactly when |slack| <= tolerance, so a
+    saturated row passes."""
     command = report["command"]
     assert list(report)[-3:] == ["checks", "tolerances", "passed"], command
     rows = report["checks"]
@@ -113,13 +114,17 @@ def assert_check_rows(report: dict) -> None:
     for row in rows:
         keys = list(ROW_KEYS)
         family = row["name"].partition(":")[0]
-        if command == "bounds" and family in ("ic_bound", "renyi", "tsallis"):
+        saturable = command == "bounds" and family in ("ic_bound", "renyi", "tsallis")
+        if saturable:
             keys.append("saturated")
         if command == "reproduce qubit-sic":
             keys[1:1] = ["actual", "expected"]
         assert list(row) == keys, f"{command} {row['name']}"
         slack = row["slack"]
         assert row["pass"] is (slack is not None and slack >= -row["tolerance"]), row["name"]
+        if saturable:
+            saturated = slack is not None and abs(slack) <= row["tolerance"]
+            assert row["saturated"] is saturated, row["name"]
     assert report["passed"] is all(row["pass"] for row in rows)
 
 

@@ -9,8 +9,10 @@ change of a report, regenerate the files with
     PYTHONPATH=src python tests/test_golden_reports.py
 
 which rewrites only the files that are missing or no longer match, and
-prints their case names. It does the same for ``bound-comparison.txt``, the
-stdout that ``tests/test_scripts.py`` pins for ``scripts/bound_comparison.py``.
+prints their case names, each followed by its leaf map: every leaf added
+(``+``), removed (``-``) or moved by more than 1e-12 (``~``). It does the
+same, without a leaf map, for ``bound-comparison.txt``, the stdout that
+``tests/test_scripts.py`` pins for ``scripts/bound_comparison.py``.
 """
 
 import json
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from helpers import assert_check_rows, assert_same, paley_frame
+from helpers import TOL, assert_check_rows, assert_same, paley_frame
 from kdframes import io
 from kdframes._jsontext import _json_default
 from kdframes.cli import build_bounds_report, build_kd_report, main
@@ -70,6 +72,50 @@ def assert_matches_golden(actual: dict, golden: dict) -> None:
     assert actual["args"] == golden["args"]
     assert actual["exit_code"] == golden["exit_code"]
     assert_same(actual["report"], golden["report"], "report")
+
+
+def _leaves(node, path: str = ""):
+    """(path, value) of every string, number, boolean and null in a JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _leaves(value, f"{path}[{index}]")
+    else:
+        yield path, node
+
+
+def _moved(old, new) -> bool:
+    """Whether a leaf changed: a number by more than TOL, anything else at all."""
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (old, new)):
+        return abs(old - new) > TOL
+    return type(old) is not type(new) or old != new
+
+
+def leaf_map(old: dict, new: dict) -> list[str]:
+    """One line per leaf of ``old`` removed or moved by more than TOL in
+    ``new``, in the order of ``old``, then one per leaf added, in the order of ``new``."""
+    before, after = dict(_leaves(old)), dict(_leaves(new))
+    lines = [
+        f"- {path}: {value!r}" if path not in after else f"~ {path}: {value!r} -> {after[path]!r}"
+        for path, value in before.items()
+        if path not in after or _moved(value, after[path])
+    ]
+    return lines + [f"+ {path}: {value!r}" for path, value in after.items() if path not in before]
+
+
+def test_leaf_map_names_each_added_removed_and_moved_leaf():
+    old = {"a": 1.0, "b": [1, 2.0], "c": "x", "d": True, "gone": None}
+    new = {"a": 1.0 + 1e-13, "b": [1, 2.5], "c": "y", "d": 1, "new": {"e": [0.5]}}
+    assert leaf_map(old, new) == [
+        "~ b[1]: 2.0 -> 2.5",
+        "~ c: 'x' -> 'y'",
+        "~ d: True -> 1",
+        "- gone: None",
+        "+ new.e[0]: 0.5",
+    ]
+    assert leaf_map(new, new) == []
 
 
 @pytest.mark.parametrize("case", sorted(golden_cases()))
@@ -130,13 +176,16 @@ if __name__ == "__main__":
         for case, args in golden_cases().items():
             document = run_case(args, Path(scratch))
             path = GOLDEN_DIR / f"{case}.json"
+            old = json.loads(path.read_text()) if path.exists() else {}
             try:
-                assert_matches_golden(document, json.loads(path.read_text()))
+                assert_matches_golden(document, old)
                 continue
-            except (FileNotFoundError, AssertionError):
+            except (KeyError, AssertionError):
                 pass
             path.write_text(json.dumps(document, indent=1) + "\n")
             print(f"rewrote {case}")
+            for line in leaf_map(old, document):
+                print(f"  {line}")
 
     from test_scripts import BOUND_COMPARISON_GOLDEN, run_bound_comparison
 

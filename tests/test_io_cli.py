@@ -13,12 +13,14 @@ from kdframes import cli, io
 from kdframes._jsontext import _json_default
 from kdframes.bounds import Interval
 from kdframes.cli import build_qubit_sic_report, main
-from kdframes.frames import Frame, orthonormal_frame, purity, sic_qubit
+from kdframes.frames import Frame, coherence_constant, orthonormal_frame, purity, sic_qubit
 from kdframes.linalg import Tolerances
 
 ROOT = Path(__file__).resolve().parent.parent
 S3 = 1.0 / np.sqrt(3.0)
 S2 = 1.0 / np.sqrt(2.0)
+# two orthonormal bases of C^2: tight, with squared overlaps 0 and 1/2
+TWO_BASES = np.array([[1, 0], [0, 1], [S2, S2], [S2, -S2]], dtype=complex)
 
 
 @pytest.fixture()
@@ -337,6 +339,25 @@ class TestFrameCheckCommand:
         assert failed_names(report) == ["tight"]
         assert result.stderr == failure_line(report, "invariant failure")
 
+    @pytest.mark.parametrize(
+        "frame, value, equiangular",
+        [(paley_frame(7), "0", True), (Frame(TWO_BASES), "inf", False)],
+        ids=["paley7-at-0", "two-bases-at-inf"],
+    )
+    def test_equiangularity_ignores_the_flag(self, runner, tmp_path, frame, value, equiangular):
+        # decided at NUMERIC_TOL, as bounds and complement_etf decide it
+        path = tmp_path / "frame.json"
+        io.dump_frame(frame, path)
+        args = ["frame", "check", str(path), "--format", "json"]
+        default = json.loads(invoke(runner, args).stdout)
+        report = json.loads(invoke(runner, args + ["--tol-numeric", value]).stdout)
+        assert report["equiangular"] is default["equiangular"] is equiangular
+        assert report["measured_c"] == default["measured_c"]
+        if equiangular:
+            assert report["measured_c"] == pytest.approx(coherence_constant(7, 3), abs=1e-12)
+        else:
+            assert report["measured_c"] is None
+
     def test_parse_failure_exit_two(self, runner, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("run, don't parse")
@@ -472,10 +493,11 @@ class TestKdCommand:
         assert result.stderr == failure_line(report)
 
     def test_tolerance_flags_reach_report(self, runner, sic_file):
-        result = invoke(runner, ["kd", sic_file, "--tol-numeric", "1e-9", "--format", "json"])
+        result = invoke(runner, ["kd", sic_file, "--tol-structural", "1e-9", "--format", "json"])
         assert result.exit_code == 0
-        tolerances = json.loads(result.stdout)["tolerances"]
-        assert list(tolerances.items()) == [("structural", 1e-12), ("numeric", 1e-9)]
+        report = json.loads(result.stdout)
+        assert list(report["tolerances"].items()) == [("structural", 1e-9)]
+        assert rows_of(report)["kd_vs_scaled_gram_residual"]["tolerance"] == 1e-9
 
     def test_broken_norm_invariant_exit_one(self, runner, tmp_path):
         document = io.frame_to_dict(sic_qubit())
@@ -523,21 +545,21 @@ class TestBoundsCommand:
         path = tmp_path / "frame.json"
         io.dump_frame(frame, path)
         args = ["bounds", str(path), "--state", state, "--alphas", "0.5,1,2,5,inf"]
-        # saturated is |slack| <= saturation: every row at inf, slack == 0 exactly at 0
-        for flags, saturation, numeric in (
-            ([], 1e-8, 1e-10),
-            (["--tol-saturation", "inf"], np.inf, 1e-10),
-            (["--tol-saturation", "0"], 0.0, 1e-10),
-            (["--tol-numeric", "inf"], 1e-8, np.inf),
+        # saturated is |slack| <= the row's tolerance, --tol-numeric: every row
+        # at inf, slack == 0 exactly at 0; a saturated row passes
+        for flags, numeric in (
+            ([], 1e-10),
+            (["--tol-numeric", "inf"], np.inf),
+            (["--tol-numeric", "0"], 0.0),
         ):
             result = invoke(runner, args + flags + ["--format", "json"])
-            assert result.exit_code == 0
             report = json.loads(result.stdout)
+            assert result.exit_code == (0 if report["passed"] else 1)
             checks = rows_of(report)
             ic, ic_check = report["index_of_coincidence"], checks["ic_bound"]
             # an upper bound: slack is bound - achieved
             assert ic_check["slack"] == ic["bound"] - ic["achieved"]
-            assert ic_check["saturated"] is (abs(ic_check["slack"]) <= saturation)
+            assert ic_check["saturated"] is (abs(ic_check["slack"]) <= numeric)
             assert ic_check["pass"] is (ic_check["slack"] >= -numeric)
             assert ic_check["tolerance"] == numeric
             rows = report["renyi"] + report["tsallis"]
@@ -549,7 +571,7 @@ class TestBoundsCommand:
                 check = checks[name]
                 achieved = min(row["achieved"], row["achieved_extremal"])
                 assert check["slack"] == achieved - row["bound"]
-                assert check["saturated"] is (abs(check["slack"]) <= saturation)
+                assert check["saturated"] is (abs(check["slack"]) <= numeric)
                 assert check["pass"] is (check["slack"] >= -numeric)
 
     def test_bad_alpha_list_exit_two(self, runner, sic_file):
@@ -688,7 +710,7 @@ QUBIT_SIC_CHECKS = [
     "largest-eigenvalue bound below 0.729",
     "purity-based interval radius sqrt(11/3)/4",
     "gershgorin union [0, 1]",
-    "relative errors about 9.3% and 50%",
+    "relative errors 3(1 + sqrt(11/3))/8 - 1 and 1/2",
 ]
 
 
@@ -736,8 +758,13 @@ class TestReproduceCommand:
                 "largest-eigenvalue bound (1 + sqrt(11/3))/4",
             ),
             ("build_kd_report", ("gram",), "pure-frame-state gram matrix"),
+            (
+                "build_bounds_report",
+                ("eigen_interval", "relative_error_vs_max"),
+                "relative errors 3(1 + sqrt(11/3))/8 - 1 and 1/2",
+            ),
         ],
-        ids=["bounds", "kd"],
+        ids=["bounds", "kd", "relative-error"],
     )
     def test_planted_leaf_error_fails_its_check(self, monkeypatch, builder, leaf, failed):
         # the checks read the reports users get: an error in one leaf fails one check
@@ -758,6 +785,15 @@ class TestReproduceCommand:
             "pure-frame-state gram matrix",
             "largest-eigenvalue bound (1 + sqrt(11/3))/4",
             "purity-based interval radius sqrt(11/3)/4",
+        ]
+
+    def test_numeric_tolerance_governs_four_checks(self):
+        # a negative tolerance fails every comparison that reads tol.numeric
+        assert failed_names(build_qubit_sic_report(Tolerances(numeric=-1.0))) == [
+            "mixed-state squared Frobenius norm",
+            "pure-frame-state spectrum (2/3, 1/3, 0, 0)",
+            "gershgorin union [0, 1]",
+            "relative errors 3(1 + sqrt(11/3))/8 - 1 and 1/2",
         ]
 
     def test_the_bound_below_0729_is_one_sided(self):
@@ -819,36 +855,24 @@ def sweep_files(tmp_path_factory):
 
 
 EXTREMALITY = "verify-extremality --samples 2"
-# Tolerances at which a library guard, not a report check, rejects the input.
-GUARD_CASES = [
-    (command, frame_name, flag, value)
-    for command in ["kd", "bounds", EXTREMALITY]
-    for frame_name, flag, value in [
-        ("non-tight", "--tol-numeric", "inf"),
-        ("nudged-sic", "--tol-numeric", "1e-6"),
-        ("nudged-sic", "--tol-numeric", "inf"),
-    ]
-] + [
-    # every Gram eigenvalue is clamped to zero; kd clamps nothing
-    ("bounds", "sic", "--tol-structural", "inf"),
-    (EXTREMALITY, "sic", "--tol-structural", "inf"),
-]
-GUARD_MESSAGES = {
-    "non-tight": "frame is not tight, it induces no POVM",
-    "nudged-sic": "frame is not tight, it induces no POVM",
-    "sic": "probabilities must sum to 1, got 0.0",
-}
-
-
+# Every --tol-* flag a command has offered; no command offers --tol-saturation.
 TOLERANCE_FLAGS = ["--tol-structural", "--tol-numeric", "--tol-saturation"]
-# Command -> the --tol-* flags it offers: those of the tolerances its report reads.
+# Command -> the --tol-* flags it offers: those of the tolerances its check rows read.
 OFFERED_FLAGS = {
-    "kd": ["--tol-structural", "--tol-numeric"],
-    "bounds": TOLERANCE_FLAGS,
-    EXTREMALITY: ["--tol-structural", "--tol-numeric"],
+    "kd": ["--tol-structural"],
+    "bounds": ["--tol-numeric"],
+    EXTREMALITY: ["--tol-numeric"],
     "reproduce qubit-sic": ["--tol-structural", "--tol-numeric"],
     "frame check": ["--tol-numeric"],
 }
+# Tolerances at which a library guard, not a report check, rejects the input:
+# tightness is decided at NUMERIC_TOL, whatever the flag.
+GUARD_CASES = [
+    (command, frame_name, flag, value)
+    for command in ["kd", "bounds", EXTREMALITY]
+    for flag in OFFERED_FLAGS[command]
+    for frame_name, value in [("non-tight", "inf"), ("nudged-sic", "1e-6"), ("nudged-sic", "inf")]
+]
 OFFERED = [(command, flag) for command, flags in OFFERED_FLAGS.items() for flag in flags]
 NOT_OFFERED = [
     (command, flag)
@@ -928,6 +952,14 @@ class TestToleranceSweep:
         tolerances = json.loads(invoke(runner, args).stdout)["tolerances"]
         assert [f"--tol-{name}" for name in tolerances] == OFFERED_FLAGS[command]
 
+    @pytest.mark.parametrize("case", OFFERED, ids=_case_id)
+    def test_each_offered_flag_is_the_tolerance_of_a_printed_row(self, runner, sweep_files, case):
+        # at a value no default has, some row compares with it: the flag sets a row
+        command, flag = case
+        args = command.split() + _frame_args(command, sweep_files) + [flag, "2.5e-7"]
+        report = json.loads(invoke(runner, args + ["--format", "json"]).stdout)
+        assert 2.5e-7 in [row["tolerance"] for row in report["checks"]]
+
     @pytest.mark.parametrize("case", GUARD_CASES, ids=" ".join)
     def test_library_guard_is_a_named_check_failure(self, runner, sweep_files, case):
         command, frame_name, flag, value = case
@@ -935,8 +967,7 @@ class TestToleranceSweep:
         result = invoke(runner, args)
         assert result.exit_code == 1
         assert result.stdout == ""
-        assert result.stderr.startswith(f"check failed: {GUARD_MESSAGES[frame_name]}")
-        assert result.stderr.count("\n") == 1
+        assert result.stderr == "check failed: frame is not tight, it induces no POVM\n"
 
 
 def _rotated_sic() -> Frame:
@@ -950,7 +981,14 @@ def _rotated_sic() -> Frame:
 
 class TestPreconditionsIgnoreTheFlags:
     """Tightness, and for bounds equiangularity, are guards at NUMERIC_TOL:
-    --tol-numeric moves report rows, never whether a frame qualifies."""
+    the command's --tol-* flag moves report rows, never whether a frame qualifies."""
+
+    # Report command -> the one --tol-* flag it offers.
+    FLAG = {
+        "kd": "--tol-structural",
+        "bounds": "--tol-numeric",
+        "verify-extremality": "--tol-numeric",
+    }
 
     @pytest.mark.parametrize("value", ["0", "1e-16"])
     @pytest.mark.parametrize("state", ["maximally-mixed", "frame-state:0"])
@@ -961,7 +999,7 @@ class TestPreconditionsIgnoreTheFlags:
         path = tmp_path / "paley7.json"
         io.dump_frame(paley_frame(7), path)
         args = [command[0], str(path), *command[1:], "--state", state]
-        result = invoke(runner, args + ["--tol-numeric", value, "--format", "json"])
+        result = invoke(runner, args + [self.FLAG[command[0]], value, "--format", "json"])
         report = json.loads(result.stdout)
         assert_check_rows(report)
         assert result.exit_code == (0 if report["passed"] else 1)
@@ -974,17 +1012,16 @@ class TestPreconditionsIgnoreTheFlags:
         path = tmp_path / "rotated.json"
         io.dump_frame(_rotated_sic(), path)
         for value in ["1e-10", "1e-3", "inf"]:
-            result = invoke(runner, [command[0], str(path), *command[1:], "--tol-numeric", value])
+            args = [command[0], str(path), *command[1:], self.FLAG[command[0]], value]
+            result = invoke(runner, args)
             assert result.exit_code == 1
             assert result.stdout == ""
             assert result.stderr == "check failed: frame is not tight, it induces no POVM\n"
 
     @pytest.mark.parametrize("value", ["1e-10", "inf"])
     def test_bounds_needs_an_etf_at_any_tolerance(self, runner, tmp_path, value):
-        # two orthonormal bases of C^2: tight, with squared overlaps 0 and 1/2
-        bases = np.array([[1, 0], [0, 1], [S2, S2], [S2, -S2]], dtype=complex)
         path = tmp_path / "bases.json"
-        io.dump_frame(Frame(bases), path)
+        io.dump_frame(Frame(TWO_BASES), path)
         result = invoke(runner, ["bounds", str(path), "--tol-numeric", value])
         assert result.exit_code == 1
         assert result.stdout == ""
@@ -999,6 +1036,9 @@ def _report_at(command: str, tol: Tolerances) -> dict:
         return cli.build_frame_check_report(frame.vectors, tol)
     if command == "kd":
         return cli.build_kd_report(frame, rho, "frame-state:0", tol)
+    if command == "bounds":
+        alphas = [0.5, 1.0, 2.0, 5.0, np.inf]
+        return cli.build_bounds_report(frame, rho, "frame-state:0", alphas, tol)
     if command == "verify-extremality":
         alphas = [0.5, 1.0, 2.0, 5.0]
         return cli.build_extremality_report(frame, rho, "frame-state:0", 20, 0, alphas, tol)
@@ -1010,10 +1050,9 @@ def _report_at(command: str, tol: Tolerances) -> dict:
     "command, unread",
     [
         ("frame check", "structural"),
-        ("frame check", "saturation"),
-        ("kd", "saturation"),
-        ("verify-extremality", "saturation"),
-        ("reproduce qubit-sic", "saturation"),
+        ("kd", "numeric"),
+        ("bounds", "structural"),
+        ("verify-extremality", "structural"),
     ],
 )
 def test_a_tolerance_the_report_does_not_read_changes_nothing(command, unread, value):
