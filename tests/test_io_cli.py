@@ -895,15 +895,15 @@ def _frame_args(command: str, sweep_files) -> list[str]:
 
 
 class TestToleranceSweep:
-    """Any value of any --tol-* flag a command offers ends in exit 0, 1 or 2,
-    never a traceback; a flag it does not offer is no option."""
+    """Any value of any --tol-* flag on any command ends in exit 0, 1 or 2,
+    never a traceback; a flag the command does not offer is no option."""
 
     @pytest.mark.parametrize("value", SWEEP_VALUES)
     @pytest.mark.parametrize(
         "case, frame_name",
         [
             (case, frame_name)
-            for case in OFFERED
+            for case in OFFERED + NOT_OFFERED
             for frame_name in ([None] if case[0].startswith("reproduce") else SWEEP_FRAMES)
         ],
         ids=lambda x: _case_id(x) if isinstance(x, tuple) else x or "built-in",
@@ -915,6 +915,11 @@ class TestToleranceSweep:
         result = invoke(runner, command.split() + frame + [flag, value, "--format", "json"])
         assert result.exit_code in (0, 1, 2)
         assert "Traceback" not in result.stderr
+        if case in NOT_OFFERED:
+            # rejected before the frame file is read, whichever frame it names
+            assert result.exit_code == 2
+            assert result.stdout == ""
+            assert f"No such option '{flag}'" in result.stderr
         if result.stdout:
             # a printed report keeps the row contract, and exit 1 names its failed rows
             report = json.loads(result.stdout)
