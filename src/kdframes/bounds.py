@@ -6,7 +6,8 @@ The closed forms are specific to the channel built on an equiangular tight
 frame: they bound, in terms of the frame size (n, d) and state purity
 alone, the index of coincidence of the outcome distribution, Frobenius and
 spectral norms of the unraveling Gram matrix, and the Renyi and Tsallis
-entropies of any unraveling of that channel.
+entropies of any unraveling of that channel at every order: one bound per
+order serves both, as each Tsallis entropy increases with the Renyi one.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import alpha_log, renyi_interpolation_bound
+from .entropy import _check_alpha, alpha_log, renyi_interpolation_bound
 from .frames import coherence_constant
 from .linalg import (
     STRUCTURAL_TOL,
@@ -167,38 +168,38 @@ def etf_spectral_bound(n: int, d: int, purity: float) -> float:
 
 
 def renyi_uncertainty_bound(n: int, d: int, purity: float, alpha: float) -> float:
-    """Lower bound on the order-alpha Renyi entropy, alpha in [2, inf], of
-    the outcome distribution of any unraveling of the principal ETF channel.
+    """Lower bound on the order-alpha Renyi entropy, alpha > 0, of the
+    outcome distribution of any unraveling of the principal ETF channel.
 
-    Interpolates between the collision-entropy bound (minus the log of the
-    Frobenius bound) and the min-entropy bound (minus the log of the
-    spectral bound).
+    The collision-entropy bound -log F, F the Frobenius bound, up to
+    alpha = 2, as H_alpha >= H_2 there; above 2 it interpolates between it
+    and the min-entropy bound, minus the log of the spectral bound.
     """
-    if not alpha >= 2.0:
-        raise ValueError(f"Renyi bound defined for alpha >= 2, got {alpha}")
+    a = _check_alpha(alpha)
     r2 = max(-float(np.log(_frobenius_bound(n, d, purity))), 0.0)
     rinf = max(-float(np.log(etf_spectral_bound(n, d, purity))), 0.0)
-    return renyi_interpolation_bound(r2, rinf, alpha)
+    return renyi_interpolation_bound(r2, rinf, max(a, 2.0))
 
 
 def tsallis_uncertainty_bound(n: int, d: int, purity: float, alpha: float) -> float:
-    """Lower bound on the order-alpha Tsallis entropy, alpha in (0, 2], of
+    """Lower bound on the order-alpha Tsallis entropy, alpha > 0 finite, of
     the outcome distribution of any unraveling of the principal ETF channel.
 
-    The deformed logarithm of 1/F, F the Frobenius bound; written out,
-    S^2 / [(1-c) c S + ((1-c)^2 + c S^2) purity].
+    As sum p^alpha = exp((1 - alpha) H_alpha), the Tsallis entropy is the
+    deformed logarithm of exp H_alpha, which increases with H_alpha; the bound
+    is that of exp R_alpha, R_alpha the Renyi bound, and up to alpha = 2 that
+    of 1/F, F the Frobenius bound.
     """
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"Tsallis bound defined for alpha in (0, 2], got {alpha}")
-    return alpha_log(1.0 / _frobenius_bound(n, d, purity), alpha)
+    return alpha_log(np.exp(renyi_uncertainty_bound(n, d, purity, alpha)), alpha)
 
 
 def pure_state_margin(n: int, d: int) -> float:
-    """Margin ((d-1)/d) n^2 - n - d^2 + 2d by which the pure-state
-    eigenvalue interval stays inside [0, 1).
+    """((d-1)/d) n^2 - n - d^2 + 2d = (n-d)((d-1)n + d(d-2))/d, of the sign of
+    the exact gap (1 - 1/n)^2 - r^2 = (d-1)(n-d)(n+d-2)/(d n (n-1)) between 1
+    and the upper end 1/n + r of the pure-state eigenvalue interval.
 
-    Zero exactly at n = d and positive for every n > d once d >= 2, which
-    is what keeps the spectral bound for pure frame states below 1.
+    Zero exactly at n = d and positive for n > d >= 2, so the pure-state
+    spectral bound is below 1 exactly when n > d; only the sign means anything.
     The numerator is an exact integer and one int division rounds it
     correctly, so the root at n = d is exact.
     """

@@ -114,6 +114,10 @@ _state_option = click.option(
     help="maximally-mixed | frame-state:<j> | mixture:<w,...> | matrix:<path>",
 )
 
+_alphas_option = click.option(
+    "--alphas", default="0.5,1,2,5", show_default=True, help="Comma-separated entropy orders."
+)
+
 
 def _render_table(report: dict) -> str:
     lines: list[tuple[str, str]] = []
@@ -235,6 +239,12 @@ def _alpha_key(alpha: float) -> str:
 # Entropy family -> its entropy, for both the bounds and the extremality report.
 _ENTROPIES = {"renyi": renyi_entropy, "tsallis": tsallis_entropy}
 
+
+def _orders(alphas: list[float]) -> dict[str, list[float]]:
+    """Family -> orders of both entropy reports: Tsallis finite, Renyi also inf."""
+    return {"tsallis": [a for a in alphas if np.isfinite(a)], "renyi": sorted({*alphas, np.inf})}
+
+
 # Haar samples whose outcome distributions share one entropy evaluation per
 # order; bounds the memory of verify-extremality independently of --samples.
 _SAMPLE_BLOCK = 256
@@ -353,6 +363,7 @@ def build_bounds_report(
     of any eigenvalue to its nearer end, so its row also checks the
     largest-eigenvalue bound, the interval's upper end. The coincidence and
     entropy rows also say whether the bound is saturated: |slack| <= tolerance.
+    Entropy rows are at the orders of ``_orders``, as in the extremality report.
     """
     gram = frame_gram(frame, rho)
     if frame.n < 2 or is_equiangular(frame) is None:
@@ -383,18 +394,15 @@ def build_bounds_report(
         _check("closed_form_interval", closed_interval.slack(spectrum).min(), tol.numeric),
     ]
 
-    # Entropy family -> (uncertainty bound, orders the bound covers). The
-    # bounds are lower bounds: slack is the smaller achieved value - bound.
-    families = {
-        "renyi": (renyi_uncertainty_bound, lambda a: a >= 2.0),
-        "tsallis": (tsallis_uncertainty_bound, lambda a: np.isfinite(a) and a <= 2.0),
-    }
-    rows: dict = {family: [] for family in families}
-    for family, (bound_of, covers) in families.items():
-        entropy = _ENTROPIES[family]
-        for alpha in filter(covers, alphas):
+    # Entropy family -> its uncertainty bound, a lower bound: slack is the
+    # smaller achieved value - bound.
+    bounds = {"renyi": renyi_uncertainty_bound, "tsallis": tsallis_uncertainty_bound}
+    rows: dict = {}
+    for family, orders in _orders(alphas).items():
+        entropy, rows[family] = _ENTROPIES[family], []
+        for alpha in orders:
             key = _alpha_key(alpha)
-            bound = bound_of(n, d, state_purity, alpha)
+            bound = bounds[family](n, d, state_purity, alpha)
             achieved = entropy(probs, alpha)
             achieved_extremal = entropy(extremal, alpha)
             rows[family].append(
@@ -430,8 +438,7 @@ def build_bounds_report(
             "relative_error_vs_max": _relative_error(union.upper, true_max),
         },
         "closed_form_interval": {"lower": closed_interval.lower, "upper": closed_interval.upper},
-        "renyi": rows["renyi"],
-        "tsallis": rows["tsallis"],
+        **rows,
     }
     return _verdict(report, checks, tol)
 
@@ -452,24 +459,19 @@ def build_extremality_report(
     outcome distribution is diag(V^dag G V) for the closed-form Gram matrix
     G. The unitaries V are drawn and mixed in stacks of at most
     _HAAR_CHUNK_BYTES, and the entropies of up to _SAMPLE_BLOCK samples are
-    evaluated together. Tsallis orders are every finite order asked for,
-    Renyi orders every order asked for plus alpha = inf. Each family maps
-    its orders to their extremal entropy, and the check row
-    ``<family>:<order>`` holds the least sampled slack above it.
+    evaluated together. Each family maps its orders (``_orders``) to their
+    extremal entropy, and the check row ``<family>:<order>`` holds the
+    least sampled slack above it.
     """
     gram = frame_gram(frame, rho)
     extremal_probs = _clamp_zeros(hermitian_eigvals(gram))
-    orders = {
-        "tsallis": [a for a in alphas if np.isfinite(a)],
-        "renyi": sorted({*alphas, np.inf}),
-    }
     # family -> order -> extremal entropy and least sampled slack above it
     table = {
         family: {
             a: {"extremal": _ENTROPIES[family](extremal_probs, a), "min_slack": np.inf}
-            for a in family_orders
+            for a in orders
         }
-        for family, family_orders in orders.items()
+        for family, orders in _orders(alphas).items()
     }
 
     n = frame.n
@@ -650,12 +652,7 @@ def kd_command(frame_file, state_spec, fmt, tol: Tolerances) -> None:
 @main.command("bounds")
 @click.argument("frame_file", type=click.Path(dir_okay=False))
 @_state_option
-@click.option(
-    "--alphas",
-    default="0.5,1,2,5,inf",
-    show_default=True,
-    help="Comma-separated entropy orders.",
-)
+@_alphas_option
 @report_options("bounds")
 def bounds_command(frame_file, state_spec, alphas, fmt, tol: Tolerances) -> None:
     """Compare eigenvalue-location and entropy bounds against achieved values."""
@@ -675,7 +672,7 @@ def bounds_command(frame_file, state_spec, alphas, fmt, tol: Tolerances) -> None
     show_default=True,
     help="RNG seed.",
 )
-@click.option("--alphas", default="0.5,1,2,5", show_default=True)
+@_alphas_option
 @report_options("verify-extremality")
 def verify_extremality(frame_file, state_spec, samples, seed, alphas, fmt, tol: Tolerances) -> None:
     """Check that the extremal unraveling minimizes the sampled entropies."""

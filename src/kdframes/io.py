@@ -36,6 +36,8 @@ def pairs_to_complex(data, name: str = "array") -> np.ndarray:
         a = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:
         raise FrameFileError(f"{name} must be nested [re, im] arrays: {exc}") from None
+    except OverflowError:
+        raise FrameFileError(f"{name} holds an integer too large for a float") from None
     if a.ndim < 2 or a.shape[-1] != 2:
         raise FrameFileError(f"{name} must have [re, im] pairs innermost, got shape {a.shape}")
     # float() also reads the strings "0.5" and "nan" and the booleans true and false

@@ -212,8 +212,9 @@ def test_criterion_5_extremality_monte_carlo(mc_population):
 def test_criterion_6_uncertainty_bounds(sic, mc_population):
     budget = 60.0
     start = time.perf_counter()
-    renyi_grid = (2.0, 3.0, 5.0, 10.0, np.inf)
-    tsallis_grid = (0.25, 0.75, 1.0, 1.5, 2.0)
+    # both bounds hold at every order: Renyi at each, Tsallis at each finite one
+    renyi_grid = (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 50.0, np.inf)
+    tsallis_grid = renyi_grid[:-1]
     worst = np.inf
     for rho, extremal_probs, sampled in mc_population:
         state_purity = purity(rho)

@@ -350,8 +350,20 @@ class TestRenyiUncertaintyBound:
         )
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            renyi_uncertainty_bound(4, 2, 1.0, 1.5)
+        # every order alpha > 0 has a bound, inf included; alpha <= 0 and NaN are named
+        for alpha in (0.0, -1.0, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="entropy order must be positive"):
+                renyi_uncertainty_bound(4, 2, 1.0, alpha)
+        assert renyi_uncertainty_bound(4, 2, 1.0, 1e-300) > 0.0
+
+    @pytest.mark.parametrize("n,d", CLOSED_FORM_SIZES)
+    @pytest.mark.parametrize("alpha", [1e-9, 0.25, 0.5, 1.0, 1.5])
+    def test_collision_bound_below_order_two(self, n, d, alpha):
+        # H_alpha >= H_2 for alpha <= 2, so the order-2 bound serves there
+        for state_purity in np.linspace(1.0 / d, 1.0, 7):
+            assert renyi_uncertainty_bound(n, d, state_purity, alpha) == (
+                renyi_uncertainty_bound(n, d, state_purity, 2.0)
+            )
 
     @pytest.mark.parametrize("n,d", CLOSED_FORM_SIZES)
     @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 7.0, 50.0])
@@ -362,7 +374,7 @@ class TestRenyiUncertaintyBound:
             )
 
     @settings(deadline=None, max_examples=25)
-    @given(seed=seeds, alpha=st.floats(2.0, 30.0))
+    @given(seed=seeds, alpha=st.floats(0.05, 30.0))
     def test_sampled_unravelings_respect_bound(self, seed, alpha, sic):
         rng = rng_for(seed)
         rho = random_density_matrix(2, rng)
@@ -400,13 +412,17 @@ class TestTsallisUncertaintyBound:
             assert bound == pytest.approx(alpha_log(arg, alpha), abs=1e-12)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            tsallis_uncertainty_bound(4, 2, 1.0, 2.5)
-        with pytest.raises(ValueError):
+        # every finite order alpha > 0 has a bound; alpha <= 0 and NaN are
+        # named, and the Tsallis family has no order inf
+        for alpha in (0.0, -1.0, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="entropy order must be positive"):
+                tsallis_uncertainty_bound(4, 2, 1.0, alpha)
+        with pytest.raises(ValueError, match="alpha = inf"):
             tsallis_uncertainty_bound(4, 2, 1.0, np.inf)
+        assert tsallis_uncertainty_bound(4, 2, 1.0, 50.0) > 0.0
 
     @settings(deadline=None, max_examples=25)
-    @given(seed=seeds, alpha=st.floats(0.05, 2.0))
+    @given(seed=seeds, alpha=st.floats(0.05, 30.0))
     def test_sampled_unravelings_respect_bound(self, seed, alpha, sic):
         rng = rng_for(seed)
         rho = random_density_matrix(2, rng)

@@ -74,6 +74,15 @@ def assert_matches_golden(actual: dict, golden: dict) -> None:
     assert_same(actual["report"], golden["report"], "report")
 
 
+def _item(index: int, item) -> str:
+    """A list item's address: ``name=...`` or ``alpha=...`` when the item
+    carries that key, so an inserted row moves no other; else its index."""
+    for key in ("name", "alpha"):
+        if isinstance(item, dict) and key in item:
+            return f"{key}={item[key]}"
+    return str(index)
+
+
 def _leaves(node, path: str = ""):
     """(path, value) of every string, number, boolean and null in a JSON document."""
     if isinstance(node, dict):
@@ -81,7 +90,7 @@ def _leaves(node, path: str = ""):
             yield from _leaves(value, f"{path}.{key}" if path else key)
     elif isinstance(node, list):
         for index, value in enumerate(node):
-            yield from _leaves(value, f"{path}[{index}]")
+            yield from _leaves(value, f"{path}[{_item(index, value)}]")
     else:
         yield path, node
 
@@ -116,6 +125,22 @@ def test_leaf_map_names_each_added_removed_and_moved_leaf():
         "+ new.e[0]: 0.5",
     ]
     assert leaf_map(new, new) == []
+    # list items with a name or alpha key match by it: an inserted row is
+    # added, and the rows after it do not move
+    rows = [{"alpha": "2", "bound": 1.0}, {"alpha": "5", "bound": 2.0}]
+    checks = [{"name": "renyi:2", "slack": 0.0}, {"name": "renyi:5", "slack": 0.5}]
+    old = {"renyi": rows, "checks": checks}
+    new = {
+        "renyi": [{"alpha": "0.5", "bound": 0.5}, *rows],
+        "checks": [{"name": "renyi:0.5", "slack": 0.25}, checks[0], {**checks[1], "slack": 0.75}],
+    }
+    assert leaf_map(old, new) == [
+        "~ checks[name=renyi:5].slack: 0.5 -> 0.75",
+        "+ renyi[alpha=0.5].alpha: '0.5'",
+        "+ renyi[alpha=0.5].bound: 0.5",
+        "+ checks[name=renyi:0.5].name: 'renyi:0.5'",
+        "+ checks[name=renyi:0.5].slack: 0.25",
+    ]
 
 
 @pytest.mark.parametrize("case", sorted(golden_cases()))

@@ -138,18 +138,34 @@ def _stringify(data):
     return [_stringify(x) for x in data] if isinstance(data, list) else repr(data)
 
 
-# JSON strings and booleans that float() would read as numbers: all strings,
-# all booleans, and one boolean among numbers, which numpy promotes silently.
+def _first_entry(value, data):
+    """The nested [re, im] array with its first real part replaced by value."""
+    return [[[value, *data[0][0][1:]], *data[0][1:]], *data[1:]]
+
+
+NUMBERS_ONLY = "must hold JSON numbers, not strings or booleans"
+
+# Edit of a nested [re, im] array -> what the error says after the array's
+# name. JSON strings and booleans that float() would read as numbers: all
+# strings, all booleans, and one boolean among numbers, which numpy promotes
+# silently; and a JSON integer too large for a float, which raises OverflowError.
 NOT_NUMBERS = {
-    "strings": _stringify,
-    "booleans": lambda data: [[[x != 0 for x in pair] for pair in row] for row in data],
-    "one-boolean": lambda data: [[[True, *data[0][0][1:]], *data[0][1:]], *data[1:]],
+    "strings": (_stringify, NUMBERS_ONLY),
+    "booleans": (
+        lambda data: [[[x != 0 for x in pair] for pair in row] for row in data],
+        NUMBERS_ONLY,
+    ),
+    "one-boolean": (lambda data: _first_entry(True, data), NUMBERS_ONLY),
+    "huge-integer": (
+        lambda data: _first_entry(10**400, data),
+        "holds an integer too large for a float",
+    ),
 }
 
 
 class TestEntriesMustBeNumbers:
-    """A frame or state file whose entries are JSON strings or booleans is
-    unusable input, named on one line."""
+    """A frame or state file whose entries are JSON strings or booleans, or
+    integers too large for a float, is unusable input, named on one line."""
 
     @pytest.mark.parametrize("edit", list(NOT_NUMBERS.values()), ids=list(NOT_NUMBERS))
     @pytest.mark.parametrize(
@@ -164,27 +180,28 @@ class TestEntriesMustBeNumbers:
         ids=" ".join,
     )
     def test_frame_file(self, runner, tmp_path, command, edit):
+        change, message = edit
         document = io.frame_to_dict(sic_qubit())
-        document["vectors"] = edit(document["vectors"].tolist())
+        document["vectors"] = change(document["vectors"].tolist())
         path = tmp_path / "frame.json"
         path.write_text(json.dumps(document))
         result = invoke(runner, command + [str(path)])
         assert result.exit_code == 2
         assert result.stdout == ""
-        assert result.stderr == "Error: vectors must hold JSON numbers, not strings or booleans\n"
+        assert result.stderr == f"Error: vectors {message}\n"
 
     @pytest.mark.parametrize("edit", list(NOT_NUMBERS.values()), ids=list(NOT_NUMBERS))
     @pytest.mark.parametrize("command", REPORT_COMMANDS, ids=lambda c: c[0])
     def test_state_file(self, runner, sic_file, tmp_path, command, edit):
+        change, message = edit
         pure = np.diag([1.0, 0.0]).astype(complex)
         path = tmp_path / "state.json"
-        path.write_text(json.dumps(edit(io.complex_to_pairs(pure).tolist())))
+        path.write_text(json.dumps(change(io.complex_to_pairs(pure).tolist())))
         args = [command[0], sic_file, *command[1:], "--state", f"matrix:{path}"]
         result = invoke(runner, args)
         assert result.exit_code == 2
         assert result.stdout == ""
-        expected = "Error: state matrix must hold JSON numbers, not strings or booleans\n"
-        assert result.stderr == expected
+        assert result.stderr == f"Error: state matrix {message}\n"
 
 
 # Files no JSON parser can read: bytes that are not UTF-8, and nesting deeper
@@ -562,9 +579,10 @@ class TestBoundsCommand:
             assert ic_check["saturated"] is (abs(ic_check["slack"]) <= numeric)
             assert ic_check["pass"] is (ic_check["slack"] >= -numeric)
             assert ic_check["tolerance"] == numeric
-            rows = report["renyi"] + report["tsallis"]
-            assert [row["alpha"] for row in rows] == ["2", "5", "inf", "0.5", "1", "2"]
-            names = ["renyi:2", "renyi:5", "renyi:inf", "tsallis:0.5", "tsallis:1", "tsallis:2"]
+            rows = report["tsallis"] + report["renyi"]
+            orders = ["0.5", "1", "2", "5"]
+            assert [row["alpha"] for row in rows] == orders + orders + ["inf"]
+            names = [f"tsallis:{a}" for a in orders] + [f"renyi:{a}" for a in orders + ["inf"]]
             assert [row["name"] for row in report["checks"][4:]] == names
             for name, row in zip(names, rows):
                 # lower bounds: slack is the smaller achieved entropy - bound
@@ -577,6 +595,23 @@ class TestBoundsCommand:
     def test_bad_alpha_list_exit_two(self, runner, sic_file):
         result = runner.invoke(main, ["bounds", sic_file, "--alphas", "2,-1"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("alphas", [None, "1.5,3", "inf", "0.05,0.5,0.5000001,50"])
+    def test_same_orders_as_verify_extremality(self, runner, sic_file, alphas):
+        """One order rule and one --alphas default: Tsallis at every finite
+        order, Renyi at every order plus inf, and every row passes."""
+        flags = ["--format", "json"] + ([] if alphas is None else ["--alphas", alphas])
+        bounds = json.loads(invoke(runner, ["bounds", sic_file, *flags]).stdout)
+        args = ["verify-extremality", sic_file, "--samples", "2", *flags]
+        extremality = json.loads(invoke(runner, args).stdout)
+        for family in ("tsallis", "renyi"):
+            assert [row["alpha"] for row in bounds[family]] == list(extremality[family])
+        names = [row["name"] for row in extremality["checks"]]
+        assert [row["name"] for row in bounds["checks"][4:]] == names
+        assert bounds["passed"] is True
+        if alphas is None:
+            assert list(extremality["renyi"]) == ["0.5", "1", "2", "5", "inf"]
+            assert list(extremality["tsallis"]) == ["0.5", "1", "2", "5"]
 
     def test_close_and_repeated_orders_get_one_row_each(self, runner, sic_file):
         for alphas, expected in (

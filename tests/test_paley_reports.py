@@ -3,22 +3,26 @@
 The (19, 9) and (43, 21) Paley frames and their Naimark complements
 (19, 10) and (43, 22) have coherence far from the (4, 2) cases, so every
 bound, the Gram kernel and the extremality Monte Carlo get checked where a
-wrong reshape or a d-dependent constant would show.
+wrong reshape or a d-dependent constant would show. The entropy-order sweep
+also runs on the golden frames.
 """
 
+import functools
 import json
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import kdframes.cli
 from helpers import extremal_probabilities, paley_frame
 from kdframes import io
+from kdframes.bounds import gram_frobenius_sq, ic_upper_bound
 from kdframes.channels import frame_gram, mixed_probabilities, principal_kraus, unraveling_gram
 from kdframes.cli import build_bounds_report, build_extremality_report, build_kd_report
-from kdframes.entropy import renyi_entropy, tsallis_entropy
-from kdframes.frames import DensityMatrix, complement_etf, random_density_matrix, sic_qubit
+from kdframes.entropy import alpha_log, renyi_entropy, tsallis_entropy
+from kdframes.frames import DensityMatrix, complement_etf, purity, random_density_matrix, sic_qubit
 from kdframes.linalg import haar_unitary
 from reference import kd_matrix, povm_from_frame, transform_unraveling, unraveling_probabilities
 
@@ -76,6 +80,56 @@ def test_bounds_report_passes_every_check(frame, spec):
     )
     (gershgorin,) = [row for row in report["checks"] if row["name"] == "gershgorin"]
     assert abs(gershgorin["slack"] - loop_slack) <= 1e-12
+
+
+# The golden frames and the Paley (19, 9) frame and its complement.
+SWEEP_FRAMES = {
+    "sic2": sic_qubit,
+    "sic2-complement": lambda: complement_etf(sic_qubit()),
+    "paley7": lambda: paley_frame(7),
+    "paley19": lambda: paley_frame(19),
+    "paley19-complement": lambda: complement_etf(paley_frame(19)),
+}
+
+
+@functools.cache
+def sweep_frame(name: str):
+    return SWEEP_FRAMES[name]()
+
+
+@settings(deadline=None, max_examples=1000)
+@given(
+    name=st.sampled_from(sorted(SWEEP_FRAMES)),
+    kind=st.sampled_from(["maximally-mixed", "frame-state", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.one_of(st.floats(0.0, 50.0, exclude_min=True), st.just(np.inf)),
+)
+def test_entropy_bounds_hold_at_every_order(name, kind, seed, alpha):
+    """Every entropy row of ``bounds`` passes at every order alpha in (0, 50]
+    and at inf, and each Tsallis bound is the deformed logarithm of exp of
+    the Renyi bound; up to alpha = 2, of 1/F, F the Frobenius bound."""
+    frame = sweep_frame(name)
+    n, d = frame.n, frame.d
+    if kind == "random":
+        spec = f"random:{seed}"
+        rho = random_density_matrix(d, seed, rank=1 + seed % d)
+    else:
+        spec = f"frame-state:{seed % n}" if kind == "frame-state" else kind
+        rho = io.resolve_state(spec, frame)
+    report = build_bounds_report(frame, rho, spec, [alpha])
+    checks = {row["name"]: row for row in report["checks"]}
+    for family in ("tsallis", "renyi"):
+        for row in report[family]:
+            check = checks[f"{family}:{row['alpha']}"]
+            assert check["slack"] >= -check["tolerance"], check
+    assert report["passed"]
+    renyi = {row["alpha"]: row["bound"] for row in report["renyi"]}
+    p = purity(rho)
+    frobenius = gram_frobenius_sq(n, d, ic_upper_bound(n, d, p), p)
+    for row in report["tsallis"]:
+        assert row["bound"] == alpha_log(np.exp(renyi[row["alpha"]]), alpha)
+        if alpha <= 2.0:
+            assert abs(row["bound"] - alpha_log(1.0 / frobenius, alpha)) <= 1e-12
 
 
 @pytest.mark.parametrize("p", [19, 43])

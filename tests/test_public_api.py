@@ -28,7 +28,7 @@ PAPER_RESULTS = {
     "(test_bounds TestKdFrobenius)",
     "singular_interval": "trace/Frobenius interval for singular values "
     "(test_acceptance criterion 7, test_bounds TestSingularInterval)",
-    "pure_state_margin": "pure-state interval stays inside [0, 1) for n > d "
+    "pure_state_margin": "pure-state spectral bound lies below 1 exactly when n > d "
     "(test_acceptance criterion 8, test_bounds TestPureStateMargin)",
 }
 
