@@ -97,7 +97,7 @@ def frame_gram(f: Frame, rho: DensityMatrix) -> np.ndarray:
     if not is_tight(f):
         raise ValueError("frame is not tight, it induces no POVM")
     if f.d != rho.d:
-        raise ValueError(f"dimension mismatch: Kraus input C^{f.d}, state C^{rho.d}")
+        raise ValueError(f"dimension mismatch: frame in C^{f.d}, state on C^{rho.d}")
     v = f.vectors
     g = f.d / f.n * gram_matrix(f) * (v.conj() @ rho.matrix @ v.T).T
     return 0.5 * (g + g.conj().T)

@@ -7,6 +7,8 @@ extremality Monte Carlo and reproduce the built-in qubit-SIC example.
 Reports are JSON on stdout; a human-readable table is added on stderr when
 stderr is a terminal, and ``--format`` forces a single output. Exit codes:
 0 success, 1 failed check or invariant, 2 unusable input or unwritable output.
+A ``FrameFileError`` exits 2 wherever it is raised; any other ValueError
+exits 1, its message after the label of the command's checks.
 """
 
 from __future__ import annotations
@@ -58,53 +60,32 @@ def _tolerance(ctx, param, value: float) -> float:
     return value
 
 
-_TOLERANCE_HELP = {
-    "structural": "Absolute tolerance for structural identities.",
-    "numeric": "Tolerance for numerical comparisons and pass flags.",
-}
+_format_option = click.option(
+    "--format",
+    "fmt",
+    type=click.Choice(["json", "table"]),
+    default=None,
+    help="Force one output format instead of JSON plus terminal table.",
+)
 
-# Report command -> the tolerances its check rows compare with: the command
-# offers their --tol-* flags, and its report prints them.
-_TOLERANCES_READ = {
-    "frame check": ("numeric",),
-    "kd": ("structural",),
-    "bounds": ("numeric",),
-    "verify-extremality": ("numeric",),
-    "reproduce qubit-sic": ("structural", "numeric"),
-}
+# A command offers the --tol-* flags of the tolerances its check rows read.
+_structural_option = click.option(
+    "--tol-structural",
+    type=float,
+    default=Tolerances().structural,
+    show_default=True,
+    callback=_tolerance,
+    help="Absolute tolerance for structural identities.",
+)
 
-
-def report_options(command: str):
-    """Add --format and the --tol-* flags that the report of ``command`` reads;
-    the command function gets ``fmt`` and one ``tol``."""
-    names = _TOLERANCES_READ[command]
-
-    def decorate(f):
-        def run(fmt, **params) -> None:
-            tol = Tolerances(**{name: params.pop(f"tol_{name}") for name in names})
-            f(fmt=fmt, tol=tol, **params)
-
-        run.__doc__ = f.__doc__
-        run = click.option(
-            "--format",
-            "fmt",
-            type=click.Choice(["json", "table"]),
-            default=None,
-            help="Force one output format instead of JSON plus terminal table.",
-        )(run)
-        for name in names:
-            run = click.option(
-                f"--tol-{name}",
-                type=float,
-                default=getattr(Tolerances(), name),
-                show_default=True,
-                callback=_tolerance,
-                help=_TOLERANCE_HELP[name],
-            )(run)
-        return run
-
-    return decorate
-
+_numeric_option = click.option(
+    "--tol-numeric",
+    type=float,
+    default=Tolerances().numeric,
+    show_default=True,
+    callback=_tolerance,
+    help="Tolerance for numerical comparisons and pass flags.",
+)
 
 _state_option = click.option(
     "--state",
@@ -178,9 +159,12 @@ def _fail(label: str, message) -> None:
 
 
 def _checked(call, *args, label: str = "check failed"):
-    """Call a function; a ValueError from it is a failed check or invariant (exit 1)."""
+    """Call a function; a FrameFileError from it is unusable input (exit 2),
+    any other ValueError a failed check or invariant (exit 1)."""
     try:
         return call(*args)
+    except io.FrameFileError as exc:
+        raise InputError(str(exc)) from None
     except ValueError as exc:
         _fail(label, exc)
 
@@ -202,21 +186,13 @@ def _finish(fmt: str | None, build, *args, label: str = "check failed") -> None:
 
 def _write_frame(f: Frame, output) -> None:
     if output:
-        _call_io(io.dump_frame, f, output)
+        _checked(io.dump_frame, f, output)
     else:
         _echo(_json_text(io.frame_to_dict(f)))
 
 
-def _call_io(call, *args):
-    """Call an io function; a FrameFileError from it is unusable input (exit 2)."""
-    try:
-        return call(*args)
-    except io.FrameFileError as exc:
-        raise InputError(str(exc)) from None
-
-
 def _load_frame(path) -> Frame:
-    return _checked(_call_io, io.load_frame, path, label="invariant failure")
+    return _checked(io.load_frame, path, label="invariant failure")
 
 
 def _parse_alphas(text: str) -> list[float]:
@@ -236,13 +212,16 @@ def _alpha_key(alpha: float) -> str:
     return short if float(short) == alpha else repr(alpha)
 
 
-# Entropy family -> its entropy, for both the bounds and the extremality report.
-_ENTROPIES = {"renyi": renyi_entropy, "tsallis": tsallis_entropy}
-
-
-def _orders(alphas: list[float]) -> dict[str, list[float]]:
-    """Family -> orders of both entropy reports: Tsallis finite, Renyi also inf."""
-    return {"tsallis": [a for a in alphas if np.isfinite(a)], "renyi": sorted({*alphas, np.inf})}
+def _orders(alphas: list[float]) -> list[tuple]:
+    """The entropy rows of both the bounds and the extremality report, each
+    (family, order, entropy, uncertainty bound): Tsallis at every finite
+    order as given, then Renyi at every order and inf, ascending. An empty
+    list gives no rows."""
+    tsallis = [a for a in alphas if np.isfinite(a)]
+    renyi = sorted({*alphas, np.inf}) if alphas else []
+    return [("tsallis", a, tsallis_entropy, tsallis_uncertainty_bound) for a in tsallis] + [
+        ("renyi", a, renyi_entropy, renyi_uncertainty_bound) for a in renyi
+    ]
 
 
 # Haar samples whose outcome distributions share one entropy evaluation per
@@ -279,11 +258,9 @@ def _check(name: str, slack: float, tolerance: float, **measured) -> dict:
     return {**row, "pass": slack >= -tolerance}
 
 
-def _verdict(report: dict, checks: list[dict], tol: Tolerances) -> dict:
-    """The report, ending in its check rows, the tolerances its command reads
-    and whether every row passed."""
-    names = _TOLERANCES_READ[report["command"]]
-    tolerances = {name: getattr(tol, name) for name in names}
+def _verdict(report: dict, checks: list[dict], **tolerances: float) -> dict:
+    """The report, ending in its check rows, the tolerances they read (those
+    whose --tol-* flags its command offers) and whether every row passed."""
     report.update(checks=checks, tolerances=tolerances, passed=all(row["pass"] for row in checks))
     return report
 
@@ -318,7 +295,7 @@ def build_frame_check_report(raw_vectors: np.ndarray, tol: Tolerances = Toleranc
                 "frame_operator_spectrum": _finite(spectrum),
             }
         )
-    return _verdict(report, checks, tol)
+    return _verdict(report, checks, numeric=tol.numeric)
 
 
 def build_kd_report(
@@ -347,7 +324,8 @@ def build_kd_report(
         "gram_spectrum": spectrum,
         "kd_spectrum": scale * spectrum,
     }
-    return _verdict(report, [_check("kd_vs_scaled_gram_residual", -residual, tol.structural)], tol)
+    checks = [_check("kd_vs_scaled_gram_residual", -residual, tol.structural)]
+    return _verdict(report, checks, structural=tol.structural)
 
 
 def build_bounds_report(
@@ -363,7 +341,7 @@ def build_bounds_report(
     of any eigenvalue to its nearer end, so its row also checks the
     largest-eigenvalue bound, the interval's upper end. The coincidence and
     entropy rows also say whether the bound is saturated: |slack| <= tolerance.
-    Entropy rows are at the orders of ``_orders``, as in the extremality report.
+    Entropy rows are those of ``_orders``, as in the extremality report.
     """
     gram = frame_gram(frame, rho)
     if frame.n < 2 or is_equiangular(frame) is None:
@@ -394,26 +372,17 @@ def build_bounds_report(
         _check("closed_form_interval", closed_interval.slack(spectrum).min(), tol.numeric),
     ]
 
-    # Entropy family -> its uncertainty bound, a lower bound: slack is the
-    # smaller achieved value - bound.
-    bounds = {"renyi": renyi_uncertainty_bound, "tsallis": tsallis_uncertainty_bound}
-    rows: dict = {}
-    for family, orders in _orders(alphas).items():
-        entropy, rows[family] = _ENTROPIES[family], []
-        for alpha in orders:
-            key = _alpha_key(alpha)
-            bound = bounds[family](n, d, state_purity, alpha)
-            achieved = entropy(probs, alpha)
-            achieved_extremal = entropy(extremal, alpha)
-            rows[family].append(
-                {
-                    "alpha": key,
-                    "bound": bound,
-                    "achieved": achieved,
-                    "achieved_extremal": achieved_extremal,
-                }
-            )
-            checks.append(saturable(f"{family}:{key}", min(achieved, achieved_extremal) - bound))
+    # An uncertainty bound is a lower bound: slack is the smaller achieved value - bound.
+    rows: dict = {"tsallis": [], "renyi": []}
+    for family, alpha, entropy, uncertainty_bound in _orders(alphas):
+        key = _alpha_key(alpha)
+        bound = uncertainty_bound(n, d, state_purity, alpha)
+        achieved = entropy(probs, alpha)
+        achieved_extremal = entropy(extremal, alpha)
+        rows[family].append(
+            dict(alpha=key, bound=bound, achieved=achieved, achieved_extremal=achieved_extremal)
+        )
+        checks.append(saturable(f"{family}:{key}", min(achieved, achieved_extremal) - bound))
 
     report = {
         "command": "bounds",
@@ -440,7 +409,7 @@ def build_bounds_report(
         "closed_form_interval": {"lower": closed_interval.lower, "upper": closed_interval.upper},
         **rows,
     }
-    return _verdict(report, checks, tol)
+    return _verdict(report, checks, numeric=tol.numeric)
 
 
 def build_extremality_report(
@@ -459,20 +428,16 @@ def build_extremality_report(
     outcome distribution is diag(V^dag G V) for the closed-form Gram matrix
     G. The unitaries V are drawn and mixed in stacks of at most
     _HAAR_CHUNK_BYTES, and the entropies of up to _SAMPLE_BLOCK samples are
-    evaluated together. Each family maps its orders (``_orders``) to their
-    extremal entropy, and the check row ``<family>:<order>`` holds the
-    least sampled slack above it.
+    evaluated together. Each entropy row of ``_orders`` keeps its extremal
+    entropy, printed under its family and order, and the least sampled
+    entropy; the check row ``<family>:<order>`` holds the least minus the
+    extremal one.
     """
     gram = frame_gram(frame, rho)
     extremal_probs = _clamp_zeros(hermitian_eigvals(gram))
-    # family -> order -> extremal entropy and least sampled slack above it
-    table = {
-        family: {
-            a: {"extremal": _ENTROPIES[family](extremal_probs, a), "min_slack": np.inf}
-            for a in orders
-        }
-        for family, orders in _orders(alphas).items()
-    }
+    rows = _orders(alphas)
+    extremal = [entropy(extremal_probs, a) for _, a, entropy, _ in rows]
+    least = [np.inf] * len(rows)
 
     n = frame.n
     chunk = max(1, _HAAR_CHUNK_BYTES // (np.dtype(complex).itemsize * n * n))
@@ -489,10 +454,8 @@ def build_extremality_report(
                 for i in range(start, stop, chunk)
             ]
         )
-        for family, rows in table.items():
-            for a, row in rows.items():
-                slack = float(np.min(_ENTROPIES[family](block, a))) - row["extremal"]
-                row["min_slack"] = min(row["min_slack"], slack)
+        for i, (_, a, entropy, _) in enumerate(rows):
+            least[i] = min(least[i], float(np.min(entropy(block, a))))
 
     report = {
         "command": "verify-extremality",
@@ -502,17 +465,15 @@ def build_extremality_report(
         "samples": samples,
         "seed": seed,
         "extremal_probabilities": extremal_probs,
-        **{
-            family: {_alpha_key(a): row["extremal"] for a, row in rows.items()}
-            for family, rows in table.items()
-        },
+        "tsallis": {},
+        "renyi": {},
     }
-    checks = [
-        _check(f"{family}:{_alpha_key(a)}", row["min_slack"], tol.numeric)
-        for family, rows in table.items()
-        for a, row in rows.items()
-    ]
-    return _verdict(report, checks, tol)
+    checks = []
+    for (family, a, *_), floor, sampled in zip(rows, extremal, least):
+        key = _alpha_key(a)
+        report[family][key] = floor
+        checks.append(_check(f"{family}:{key}", sampled - floor, tol.numeric))
+    return _verdict(report, checks, numeric=tol.numeric)
 
 
 def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> dict:
@@ -591,7 +552,7 @@ def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> dict:
         "gram_mixed": kd_mixed["gram"],
         "gram_pure": kd_pure["gram"],
     }
-    return _verdict(report, checks, tol)
+    return _verdict(report, checks, structural=tol.structural, numeric=tol.numeric)
 
 
 # ----------------------------------------------------------------------
@@ -611,10 +572,12 @@ def frame() -> None:
 
 @frame.command("check")
 @click.argument("frame_file", type=click.Path(dir_okay=False))
-@report_options("frame check")
-def frame_check(frame_file, fmt, tol: Tolerances) -> None:
+@_numeric_option
+@_format_option
+def frame_check(frame_file, tol_numeric, fmt) -> None:
     """Certify tightness and equiangularity of a frame file."""
-    raw = _call_io(io.raw_vectors_from_dict, _call_io(io.load_json, frame_file))
+    raw = _checked(io.raw_vectors_from_dict, _checked(io.load_json, frame_file))
+    tol = Tolerances(numeric=tol_numeric)
     _finish(fmt, build_frame_check_report, raw, tol, label="invariant failure")
 
 
@@ -641,11 +604,13 @@ def gen_complement(frame_file, output) -> None:
 @main.command("kd")
 @click.argument("frame_file", type=click.Path(dir_okay=False))
 @_state_option
-@report_options("kd")
-def kd_command(frame_file, state_spec, fmt, tol: Tolerances) -> None:
+@_structural_option
+@_format_option
+def kd_command(frame_file, state_spec, tol_structural, fmt) -> None:
     """Emit the Gram and Kirkwood-Dirac matrices of a tight frame and a state."""
     loaded = _load_frame(frame_file)
-    rho = _call_io(io.resolve_state, state_spec, loaded)
+    rho = _checked(io.resolve_state, state_spec, loaded)
+    tol = Tolerances(structural=tol_structural)
     _finish(fmt, build_kd_report, loaded, rho, state_spec, tol)
 
 
@@ -653,12 +618,14 @@ def kd_command(frame_file, state_spec, fmt, tol: Tolerances) -> None:
 @click.argument("frame_file", type=click.Path(dir_okay=False))
 @_state_option
 @_alphas_option
-@report_options("bounds")
-def bounds_command(frame_file, state_spec, alphas, fmt, tol: Tolerances) -> None:
+@_numeric_option
+@_format_option
+def bounds_command(frame_file, state_spec, alphas, tol_numeric, fmt) -> None:
     """Compare eigenvalue-location and entropy bounds against achieved values."""
     loaded = _load_frame(frame_file)
-    rho = _call_io(io.resolve_state, state_spec, loaded)
-    _finish(fmt, build_bounds_report, loaded, rho, state_spec, _parse_alphas(alphas), tol)
+    rho = _checked(io.resolve_state, state_spec, loaded)
+    orders, tol = _parse_alphas(alphas), Tolerances(numeric=tol_numeric)
+    _finish(fmt, build_bounds_report, loaded, rho, state_spec, orders, tol)
 
 
 @main.command("verify-extremality")
@@ -673,12 +640,13 @@ def bounds_command(frame_file, state_spec, alphas, fmt, tol: Tolerances) -> None
     help="RNG seed.",
 )
 @_alphas_option
-@report_options("verify-extremality")
-def verify_extremality(frame_file, state_spec, samples, seed, alphas, fmt, tol: Tolerances) -> None:
+@_numeric_option
+@_format_option
+def verify_extremality(frame_file, state_spec, samples, seed, alphas, tol_numeric, fmt) -> None:
     """Check that the extremal unraveling minimizes the sampled entropies."""
     loaded = _load_frame(frame_file)
-    rho = _call_io(io.resolve_state, state_spec, loaded)
-    orders = _parse_alphas(alphas)
+    rho = _checked(io.resolve_state, state_spec, loaded)
+    orders, tol = _parse_alphas(alphas), Tolerances(numeric=tol_numeric)
     _finish(fmt, build_extremality_report, loaded, rho, state_spec, samples, seed, orders, tol)
 
 
@@ -688,9 +656,12 @@ def reproduce() -> None:
 
 
 @reproduce.command("qubit-sic")
-@report_options("reproduce qubit-sic")
-def reproduce_qubit_sic(fmt, tol: Tolerances) -> None:
+@_numeric_option
+@_structural_option
+@_format_option
+def reproduce_qubit_sic(tol_numeric, tol_structural, fmt) -> None:
     """Run every qubit tetrahedron check: matrices, spectrum, bounds, errors."""
+    tol = Tolerances(structural=tol_structural, numeric=tol_numeric)
     _finish(fmt, build_qubit_sic_report, tol)
 
 

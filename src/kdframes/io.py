@@ -91,10 +91,11 @@ def load_json(path) -> dict:
     except OSError as exc:
         raise FrameFileError(f"cannot read {path}: {exc}") from None
     # JSON files are UTF-8 whatever the locale (RFC 8259); the decoder recurses
-    # once per nesting level, so a deep enough file exhausts the stack.
+    # once per nesting level, so a deep enough file exhausts the stack, and it
+    # refuses integers of more than sys.get_int_max_str_digits() digits.
     try:
         return json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise FrameFileError(f"{path} is not valid JSON: {exc}") from None
 
 

@@ -137,3 +137,12 @@ def failure_line(report: dict, label: str = "check failed") -> str:
         if not row["pass"]
     ]
     return f"{label}: {', '.join(failed)}\n"
+
+
+def cli_commands(group, path: tuple[str, ...] = ()):
+    """(command line, command) of every command under a click group."""
+    for name, command in group.commands.items():
+        if hasattr(command, "commands"):
+            yield from cli_commands(command, (*path, name))
+        else:
+            yield " ".join((*path, name)), command

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from helpers import assert_check_rows, failure_line, paley_frame
+from helpers import assert_check_rows, cli_commands, failure_line, paley_frame
 from kdframes import cli, io
 from kdframes._jsontext import _json_default
 from kdframes.bounds import Interval
@@ -204,11 +204,13 @@ class TestEntriesMustBeNumbers:
         assert result.stderr == f"Error: state matrix {message}\n"
 
 
-# Files no JSON parser can read: bytes that are not UTF-8, and nesting deeper
-# than the decoder's recursion limit.
+# Files no JSON parser can read: bytes that are not UTF-8, nesting deeper
+# than the decoder's recursion limit, and an integer longer than the 4300
+# digits Python converts from a string by default.
 UNREADABLE_JSON = {
     "not-utf8": b'{"d": 2, "n": 4, "vectors": [\xff]}',
     "too-deep": b"[" * 100_000,
+    "too-many-digits": b'{"d": 2, "n": 4, "vectors": [1' + b"0" * 5000 + b"]}",
 }
 
 
@@ -623,6 +625,16 @@ class TestBoundsCommand:
             assert [row["alpha"] for row in rows] == expected
             assert rows[0]["achieved"] != rows[1]["achieved"]
 
+    @pytest.mark.parametrize("state", ["maximally-mixed", "frame-state:0"])
+    def test_no_orders_no_entropy_rows(self, state):
+        # what reproduce qubit-sic and scripts/bound_comparison.py ask for
+        frame = sic_qubit()
+        report = cli.build_bounds_report(frame, io.resolve_state(state, frame), state, [])
+        assert report["tsallis"] == [] and report["renyi"] == []
+        names = [row["name"] for row in report["checks"]]
+        assert names == ["ic_bound", "eigen_interval", "gershgorin", "closed_form_interval"]
+        assert report["passed"] is True
+
     def test_one_vector_frame_exit_one(self, runner, tmp_path):
         path = tmp_path / "single.json"
         path.write_text(json.dumps({"d": 1, "n": 1, "vectors": [[[1, 0]]]}))
@@ -732,6 +744,30 @@ def test_state_help_lists_the_four_forms(runner, command):
     result = invoke(runner, [command, "--help"])
     help_text = " ".join(result.stdout.split())
     assert "maximally-mixed | frame-state:<j> | mixture:<w,...> | matrix:<path>" in help_text
+
+
+# Command -> its parameters in the order its --help lists them: the order
+# in which its decorators are stacked.
+PARAMETER_ORDER = {
+    "frame check": ["frame_file", "--tol-numeric", "--format"],
+    "frame gen sic2": ["-o"],
+    "frame gen complement": ["frame_file", "-o"],
+    "kd": ["frame_file", "--state", "--tol-structural", "--format"],
+    "bounds": ["frame_file", "--state", "--alphas", "--tol-numeric", "--format"],
+    "verify-extremality": [
+        "frame_file", "--state", "--samples", "--seed", "--alphas", "--tol-numeric", "--format",
+    ],
+    "reproduce qubit-sic": ["--tol-numeric", "--tol-structural", "--format"],
+}
+
+
+def test_each_command_keeps_its_parameter_order(runner):
+    commands = dict(cli_commands(main))
+    assert {name: [p.opts[0] for p in c.params] for name, c in commands.items()} == PARAMETER_ORDER
+    for name, params in PARAMETER_ORDER.items():
+        lines = invoke(runner, [*name.split(), "--help"]).stdout.splitlines()
+        listed = [line.split()[0].rstrip(",") for line in lines if line.startswith("  -")]
+        assert listed == [p for p in params if p.startswith("-")] + ["--help"]
 
 
 QUBIT_SIC_CHECKS = [

@@ -5,13 +5,16 @@ of the two constants in linalg.
 The library keeps one float tolerance keyword, set by its caller; anything
 else that needs a tolerance reads STRUCTURAL_TOL or NUMERIC_TOL, and no
 tolerance is written out as a literal. Every row tolerance in the CLI is a
-``Tolerances`` field or 0.
+``Tolerances`` field or 0, and every ``--tol-<name>`` flag defaults to the
+field ``name`` and refuses a negative or NaN value.
 """
 
 import ast
 from dataclasses import fields
 from pathlib import Path
 
+from helpers import cli_commands
+from kdframes.cli import _tolerance, main
 from kdframes.linalg import Tolerances
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "kdframes"
@@ -104,3 +107,19 @@ def test_every_row_tolerance_is_a_tolerances_field_or_zero():
     assert offenders == []
     # every report's rows are built this way, so the check cannot pass on no calls
     assert len(tolerances) >= 20
+
+
+def test_every_tol_flag_has_its_field_default_and_the_tolerance_callback():
+    offered = [
+        param
+        for _, command in cli_commands(main)
+        for param in command.params
+        if any(opt.startswith("--tol-") for opt in param.opts)
+    ]
+    for param in offered:
+        name = param.name.removeprefix("tol_")
+        assert param.opts == [f"--tol-{name}"]
+        assert param.default == getattr(Tolerances(), name)
+        assert param.callback is _tolerance
+    # the flags are exactly the Tolerances fields, each offered by some command
+    assert {param.name for param in offered} == {f"tol_{f.name}" for f in fields(Tolerances)}
