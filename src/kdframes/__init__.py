@@ -5,15 +5,10 @@ from .bounds import (
     Interval,
     eigen_interval,
     etf_eigen_interval,
-    etf_spectral_bound,
     gershgorin_disks,
     gershgorin_union,
-    gram_frobenius_sq,
     ic_upper_bound,
-    kd_frobenius_norm,
-    pure_state_margin,
     renyi_uncertainty_bound,
-    singular_interval,
     tsallis_uncertainty_bound,
 )
 from .channels import (
@@ -24,10 +19,8 @@ from .channels import (
     unraveling_gram,
 )
 from .entropy import (
-    alpha_log,
     index_of_coincidence,
     renyi_entropy,
-    renyi_interpolation_bound,
     tsallis_entropy,
 )
 from .frames import (
@@ -63,18 +56,15 @@ __all__ = [
     "STRUCTURAL_TOL",
     "Tolerances",
     "Unraveling",
-    "alpha_log",
     "coherence_constant",
     "complement_etf",
     "eigen_interval",
     "etf_eigen_interval",
-    "etf_spectral_bound",
     "frame_gram",
     "frame_mixture",
     "frame_operator",
     "gershgorin_disks",
     "gershgorin_union",
-    "gram_frobenius_sq",
     "gram_matrix",
     "haar_unitary",
     "hermitian_eigvals",
@@ -82,18 +72,14 @@ __all__ = [
     "index_of_coincidence",
     "is_equiangular",
     "is_tight",
-    "kd_frobenius_norm",
     "mixed_probabilities",
     "orthonormal_frame",
     "principal_kraus",
-    "pure_state_margin",
     "purity",
     "random_density_matrix",
     "renyi_entropy",
-    "renyi_interpolation_bound",
     "renyi_uncertainty_bound",
     "sic_qubit",
-    "singular_interval",
     "tsallis_entropy",
     "tsallis_uncertainty_bound",
     "unraveling_gram",

@@ -1,7 +1,7 @@
 """Eigenvalue-location intervals, closed-form norms and entropy bounds.
 
-Matrix-level tools (trace/Frobenius eigenvalue intervals, the singular
-value variant, Gershgorin disks) work on any Hermitian or complex matrix.
+Matrix-level tools (the trace/Frobenius eigenvalue interval, Gershgorin
+disks) work on any Hermitian or complex matrix.
 The closed forms are specific to the channel built on an equiangular tight
 frame: they bound, in terms of the frame size (n, d) and state purity
 alone, the index of coincidence of the outcome distribution, Frobenius and
@@ -35,10 +35,6 @@ class Interval:
     def __post_init__(self) -> None:
         if not self.lower <= self.upper:
             raise ValueError(f"need lower <= upper, got [{self.lower}, {self.upper}]")
-
-    @property
-    def radius(self) -> float:
-        return 0.5 * (self.upper - self.lower)
 
     def slack(self, value: float | np.ndarray) -> float | np.ndarray:
         """Distance from value to the nearer endpoint; negative outside.
@@ -99,12 +95,6 @@ def _frobenius_bound(n: int, d: int, purity: float) -> float:
     return gram_frobenius_sq(n, d, ic_upper_bound(n, d, purity), purity)
 
 
-def kd_frobenius_norm(n: int, d: int, ic: float, purity: float) -> float:
-    """Frobenius norm of the Kirkwood-Dirac matrix: (d/n) times the Gram norm."""
-    gram_norm = np.sqrt(gram_frobenius_sq(n, d, ic, purity))
-    return (d / n) * gram_norm
-
-
 def eigen_interval(m) -> Interval:
     """Interval around tr(m)/n certain to contain every eigenvalue of a
     Hermitian matrix.
@@ -117,15 +107,6 @@ def eigen_interval(m) -> Interval:
     n = m.shape[0]
     trace = float(np.trace(m).real)
     return _trace_interval(n, trace, n * float(np.vdot(m, m).real) - trace * trace)
-
-
-def singular_interval(x) -> Interval:
-    """Interval containing every singular value, built from the trace norm
-    and Frobenius norm, with n = min(rows, cols)."""
-    s = np.linalg.svd(as_complex_matrix(x, "x"), compute_uv=False)
-    n = s.size
-    trace_norm = float(s.sum())
-    return _trace_interval(n, trace_norm, n * float(np.sum(s * s)) - trace_norm * trace_norm)
 
 
 def gershgorin_disks(m) -> tuple[np.ndarray, np.ndarray]:
@@ -155,16 +136,11 @@ def etf_eigen_interval(n: int, d: int, purity: float) -> Interval:
     principal ETF channel, in terms of frame size and purity only.
 
     Center 1/n; radius sqrt(n-1)/n sqrt(n F - 1), with F the Frobenius
-    bound of :func:`_frobenius_bound`. For the maximally mixed state it
-    coincides with the Gershgorin interval of radius (n-d)/(nd).
+    bound of :func:`_frobenius_bound`. The upper end bounds the spectral
+    norm, strictly below 1 for pure states when n > d. For the maximally
+    mixed state it coincides with the Gershgorin interval of radius (n-d)/(nd).
     """
     return _trace_interval(n, 1.0, n * _frobenius_bound(n, d, purity) - 1.0)
-
-
-def etf_spectral_bound(n: int, d: int, purity: float) -> float:
-    """Upper bound on the spectral norm of every unraveling Gram matrix of
-    the principal ETF channel; strictly below 1 for pure states when n > d."""
-    return etf_eigen_interval(n, d, purity).upper
 
 
 def renyi_uncertainty_bound(n: int, d: int, purity: float, alpha: float) -> float:
@@ -173,11 +149,12 @@ def renyi_uncertainty_bound(n: int, d: int, purity: float, alpha: float) -> floa
 
     The collision-entropy bound -log F, F the Frobenius bound, up to
     alpha = 2, as H_alpha >= H_2 there; above 2 it interpolates between it
-    and the min-entropy bound, minus the log of the spectral bound.
+    and the min-entropy bound, minus the log of the upper end of
+    :func:`etf_eigen_interval`.
     """
     a = _check_alpha(alpha)
     r2 = max(-float(np.log(_frobenius_bound(n, d, purity))), 0.0)
-    rinf = max(-float(np.log(etf_spectral_bound(n, d, purity))), 0.0)
+    rinf = max(-float(np.log(etf_eigen_interval(n, d, purity).upper)), 0.0)
     return renyi_interpolation_bound(r2, rinf, max(a, 2.0))
 
 
@@ -191,20 +168,3 @@ def tsallis_uncertainty_bound(n: int, d: int, purity: float, alpha: float) -> fl
     of 1/F, F the Frobenius bound.
     """
     return alpha_log(np.exp(renyi_uncertainty_bound(n, d, purity, alpha)), alpha)
-
-
-def pure_state_margin(n: int, d: int) -> float:
-    """((d-1)/d) n^2 - n - d^2 + 2d = (n-d)((d-1)n + d(d-2))/d, of the sign of
-    the exact gap (1 - 1/n)^2 - r^2 = (d-1)(n-d)(n+d-2)/(d n (n-1)) between 1
-    and the upper end 1/n + r of the pure-state eigenvalue interval.
-
-    Zero exactly at n = d and positive for n > d >= 2, so the pure-state
-    spectral bound is below 1 exactly when n > d; only the sign means anything.
-    The numerator is an exact integer and one int division rounds it
-    correctly, so the root at n = d is exact.
-    """
-    if d < 2:
-        raise ValueError(f"margin defined for d >= 2, got d={d}")
-    if n < d:
-        raise ValueError(f"need n >= d, got n={n} < d={d}")
-    return ((d - 1) * n * n - d * (n + d * d - 2 * d)) / d

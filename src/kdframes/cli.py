@@ -200,7 +200,9 @@ def _parse_alphas(text: str) -> list[float]:
         alphas = [float(a) for a in text.split(",") if a.strip()]
     except ValueError:
         raise InputError(f"malformed alpha list {text!r}") from None
-    if not alphas or any(np.isnan(a) or a <= 0 for a in alphas):
+    if not alphas:
+        raise InputError(f"no entropy order given in {text!r}")
+    if any(np.isnan(a) or a <= 0 for a in alphas):
         raise InputError(f"entropy orders must be positive, got {text!r}")
     # one report row per distinct order, in the order first given
     return list(dict.fromkeys(alphas))
@@ -508,7 +510,8 @@ def build_qubit_sic_report(tol: Tolerances = Tolerances()) -> dict:
     radii = np.array([disk["radius"] for disk in bounds_mixed["gershgorin"]["disks"]])
     bound = interval["upper"]
     root = float(np.sqrt(11.0 / 3.0))
-    radius = etf_eigen_interval(n, d, bounds_pure["purity"]).radius
+    closed = bounds_pure["closed_form_interval"]
+    radius = 0.5 * (closed["upper"] - closed["lower"])
     union = np.array([gershgorin["union_lower"], gershgorin["union_upper"]])
     errors = np.array([interval["relative_error_vs_max"], gershgorin["relative_error_vs_max"]])
     exact_errors = np.array([3.0 * (1.0 + root) / 8.0 - 1.0, 0.5])  # about 9.3% and 50%

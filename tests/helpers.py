@@ -32,6 +32,22 @@ def spectrum_with_equal_tail(mu: float, t: float, n: int, rng: np.random.Generat
     return u @ diag @ u.conj().T
 
 
+def singular_interval(x):
+    """Interval containing every singular value of x, the trace/Frobenius
+    interval of its n = min(rows, cols) singular values.
+
+    On a Hermitian PSD matrix, such as every Gram matrix a report builds, it
+    equals ``eigen_interval``.
+    """
+    from kdframes.bounds import _trace_interval
+    from kdframes.linalg import as_complex_matrix
+
+    s = np.linalg.svd(as_complex_matrix(x, "x"), compute_uv=False)
+    n = s.size
+    trace_norm = float(s.sum())
+    return _trace_interval(n, trace_norm, n * float(np.sum(s * s)) - trace_norm * trace_norm)
+
+
 def paley_frame(p: int):
     """The (p, (p - 1)/2) Paley ETF: the p rows of the p-point DFT restricted to
     the nonzero quadratic residues mod p (sorted), scaled to unit norm.

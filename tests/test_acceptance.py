@@ -6,6 +6,7 @@ the stated tolerance and runtime budget, and prints a one-line verdict
 """
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,17 +15,17 @@ from helpers import (
     extremal_probabilities,
     random_complex_matrix,
     random_hermitian,
+    singular_interval,
     spectrum_with_equal_tail,
 )
 from kdframes.bounds import (
     eigen_interval,
+    etf_eigen_interval,
     gershgorin_disks,
     gershgorin_union,
     gram_frobenius_sq,
     ic_upper_bound,
-    pure_state_margin,
     renyi_uncertainty_bound,
-    singular_interval,
     tsallis_uncertainty_bound,
 )
 from kdframes.channels import principal_kraus, unraveling_gram
@@ -297,16 +298,31 @@ def test_criterion_7_eigenvalue_location():
     )
 
 
-def test_criterion_8_margin_positivity():
+def test_criterion_8_pure_state_bound_below_one():
+    """The pure-state bound 1/n + r, the upper end of the closed-form interval
+    the bounds report prints, is 1 at n = d and below 1 on (d, d^2]; the gap
+    (1 - 1/n)^2 - r^2 is the exact (d-1)(n-d)(n+d-2)/(d n (n-1))."""
     budget = 1.0
     start = time.perf_counter()
+    ulp = np.spacing(1.0)
+    worst_relative = 0.0
     for d in range(2, 13):
-        assert pure_state_margin(d, d) == 0.0
+        assert abs(etf_eigen_interval(d, d, 1.0).upper - 1.0) <= 4 * ulp
         for n in range(d + 1, d * d + 1):
-            assert pure_state_margin(n, d) > 0.0
+            interval = etf_eigen_interval(n, d, 1.0)
+            assert interval.upper < 1.0
+            r = (interval.upper - interval.lower) / 2
+            exact = float(Fraction((d - 1) * (n - d) * (n + d - 2), d * n * (n - 1)))
+            worst_relative = max(worst_relative, abs((1.0 - 1.0 / n) ** 2 - r * r - exact) / exact)
+    assert worst_relative <= 1e-13
     elapsed = time.perf_counter() - start
     assert elapsed < budget
-    verdict(8, "margin zero at n=d, positive on (d, d^2], d in 2..12", elapsed, budget)
+    verdict(
+        8,
+        f"bound 1 at n=d, below 1 on (d, d^2], d in 2..12; gap error {worst_relative:.1e}",
+        elapsed,
+        budget,
+    )
 
 
 def test_criterion_9_kd_proportionality(catalog):

@@ -10,21 +10,18 @@ from helpers import (
     random_complex_matrix,
     random_hermitian,
     rng_for,
+    singular_interval,
     spectrum_with_equal_tail,
 )
 from kdframes.bounds import (
     Interval,
     eigen_interval,
     etf_eigen_interval,
-    etf_spectral_bound,
     gershgorin_disks,
     gershgorin_union,
     gram_frobenius_sq,
     ic_upper_bound,
-    kd_frobenius_norm,
-    pure_state_margin,
     renyi_uncertainty_bound,
-    singular_interval,
     tsallis_uncertainty_bound,
 )
 from kdframes.channels import principal_kraus, unraveling_gram
@@ -33,6 +30,7 @@ from kdframes.frames import (
     DensityMatrix,
     coherence_constant,
     frame_mixture,
+    orthonormal_frame,
     purity,
     random_density_matrix,
 )
@@ -52,6 +50,13 @@ seeds = st.integers(0, 2**32 - 1)
 # Naimark complements.
 CLOSED_FORM_SIZES = [(4, 2), (9, 3), (6, 3), (7, 3), (7, 4), (19, 9), (19, 10), (43, 21), (43, 22)]
 
+
+def midpoint(interval: Interval) -> float:
+    return (interval.lower + interval.upper) / 2
+
+
+def half_width(interval: Interval) -> float:
+    return (interval.upper - interval.lower) / 2
 
 
 def sic_pure_gram(sic):
@@ -115,21 +120,35 @@ class TestGramFrobenius:
         assert np.linalg.norm(gram) ** 2 == pytest.approx(closed, abs=1e-10)
 
 
+def kd_frobenius_closed_form(frame, rho) -> float:
+    """The paper's Hilbert-Schmidt norm of the KD matrix, (d/n) times the
+    Gram norm sqrt(gram_frobenius_sq), at the state's own IC and purity."""
+    ic = index_of_coincidence(outcome_probabilities(povm_from_frame(frame), rho))
+    return (frame.d / frame.n) * np.sqrt(gram_frobenius_sq(frame.n, frame.d, ic, purity(rho)))
+
+
 class TestKdFrobenius:
-    def test_sic_values(self):
-        assert kd_frobenius_norm(4, 2, 0.25, 0.5) == pytest.approx(0.5 * np.sqrt(1 / 3))
-        assert kd_frobenius_norm(4, 2, 1 / 3, 1.0) == pytest.approx(0.5 * np.sqrt(5 / 9))
+    def test_sic_values(self, sic):
+        pure = DensityMatrix(np.outer(sic.vectors[0], sic.vectors[0].conj()))
+        for rho, expected in ((DensityMatrix(np.eye(2) / 2), 1 / 3), (pure, 5 / 9)):
+            actual = np.linalg.norm(kd_matrix(povm_from_frame(sic), rho))
+            assert kd_frobenius_closed_form(sic, rho) == pytest.approx(0.5 * np.sqrt(expected))
+            assert actual == pytest.approx(0.5 * np.sqrt(expected), abs=1e-12)
 
     def test_projective_basis_state(self):
-        assert kd_frobenius_norm(2, 2, 1.0, 1.0) == pytest.approx(1.0)
+        basis = orthonormal_frame(2)
+        rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+        assert kd_frobenius_closed_form(basis, rho) == pytest.approx(1.0)
+        assert np.linalg.norm(kd_matrix(povm_from_frame(basis), rho)) == pytest.approx(1.0)
 
-    def test_matches_actual_kd_matrix(self, sic):
-        rho = random_density_matrix(2, rng_for(21))
-        u = principal_kraus(sic)
-        ic = index_of_coincidence(unraveling_probabilities(u, rho))
-        closed = kd_frobenius_norm(4, 2, ic, purity(rho))
-        actual = np.linalg.norm(kd_matrix(povm_from_frame(sic), rho))
-        assert actual == pytest.approx(closed, abs=1e-10)
+    @settings(deadline=None, max_examples=25)
+    @given(seed=seeds)
+    def test_matches_actual_kd_matrix(self, seed, catalog):
+        rng = rng_for(seed)
+        for _, frame in catalog:
+            rho = random_density_matrix(frame.d, rng)
+            actual = np.linalg.norm(kd_matrix(povm_from_frame(frame), rho))
+            assert actual == pytest.approx(kd_frobenius_closed_form(frame, rho), abs=1e-10)
 
 
 class TestEigenInterval:
@@ -146,8 +165,8 @@ class TestEigenInterval:
 
     def test_sic_pure_gram_interval(self, sic):
         interval = eigen_interval(sic_pure_gram(sic))
-        assert interval.lower + interval.radius == pytest.approx(0.25, abs=1e-12)
-        assert interval.radius == pytest.approx(np.sqrt(11.0 / 3.0) / 4.0, abs=1e-12)
+        assert midpoint(interval) == pytest.approx(0.25, abs=1e-12)
+        assert half_width(interval) == pytest.approx(np.sqrt(11.0 / 3.0) / 4.0, abs=1e-12)
 
     def test_scalar_matrix_degenerate(self):
         interval = eigen_interval(np.array([[2.5]], dtype=complex))
@@ -166,8 +185,8 @@ class TestSingularInterval:
     def test_unitary_zero_radius(self):
         u = haar_unitary(4, 17)
         interval = singular_interval(u)
-        assert interval.radius == pytest.approx(0.0, abs=1e-7)
-        assert interval.lower + interval.radius == pytest.approx(1.0, abs=1e-10)
+        assert half_width(interval) == pytest.approx(0.0, abs=1e-7)
+        assert midpoint(interval) == pytest.approx(1.0, abs=1e-10)
 
     def test_equal_tail_boundary(self):
         interval = singular_interval(np.diag([2.0, 1.0, 1.0]).astype(complex))
@@ -184,6 +203,16 @@ class TestSingularInterval:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="x contains non-finite entries"):
             singular_interval(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+    @settings(deadline=None)
+    @given(seed=seeds, n=st.integers(2, 6))
+    def test_equals_eigen_interval_on_psd(self, seed, n):
+        # why no report needs it: every Gram matrix a report builds is Hermitian PSD
+        x = random_complex_matrix(n, n, rng_for(seed))
+        psd = x @ x.conj().T
+        singular, eigen = singular_interval(psd), eigen_interval(psd)
+        assert singular.lower == pytest.approx(eigen.lower, abs=1e-9)
+        assert singular.upper == pytest.approx(eigen.upper, abs=1e-9)
 
 
 class TestMaxEigUpperBound:
@@ -262,18 +291,18 @@ class TestGershgorin:
 class TestEtfInterval:
     def test_sic_pure_radius(self):
         interval = etf_eigen_interval(4, 2, 1.0)
-        assert interval.lower + interval.radius == pytest.approx(0.25)
-        assert interval.radius == pytest.approx(np.sqrt(11.0 / 3.0) / 4.0, abs=1e-12)
+        assert midpoint(interval) == pytest.approx(0.25)
+        assert half_width(interval) == pytest.approx(np.sqrt(11.0 / 3.0) / 4.0, abs=1e-12)
 
     def test_maximally_mixed_matches_gershgorin_radius(self, catalog):
         for _, frame in catalog:
             interval = etf_eigen_interval(frame.n, frame.d, 1.0 / frame.d)
             expected = (frame.n - frame.d) / (frame.n * frame.d)
-            assert interval.radius == pytest.approx(expected, abs=1e-10)
+            assert half_width(interval) == pytest.approx(expected, abs=1e-10)
 
     def test_orthonormal_formula(self):
         interval = etf_eigen_interval(3, 3, 1.0)
-        assert interval.radius == pytest.approx(np.sqrt(2.0) / 3.0 * np.sqrt(2.0))
+        assert half_width(interval) == pytest.approx(np.sqrt(2.0) / 3.0 * np.sqrt(2.0))
 
     @pytest.mark.parametrize("n,d", CLOSED_FORM_SIZES)
     def test_matches_written_out_radicand(self, n, d):
@@ -282,8 +311,8 @@ class TestEtfInterval:
         for state_purity in np.linspace(1.0 / d, 1.0, 7):
             radicand = ((1 - c) ** 2 / s**2 + c) * n * state_purity + (1 - c) * c * d - 1.0
             interval = etf_eigen_interval(n, d, state_purity)
-            assert interval.lower + interval.radius == pytest.approx(1.0 / n, abs=1e-12)
-            assert interval.radius == pytest.approx(
+            assert midpoint(interval) == pytest.approx(1.0 / n, abs=1e-12)
+            assert half_width(interval) == pytest.approx(
                 np.sqrt(n - 1.0) / n * np.sqrt(radicand), abs=1e-12
             )
 
@@ -299,11 +328,13 @@ class TestEtfInterval:
 
 
 class TestEtfSpectralBound:
+    """The upper end of ``etf_eigen_interval`` bounds the spectral norm."""
+
     def test_sic_pure_stays_below_0729(self):
-        assert etf_spectral_bound(4, 2, 1.0) < 0.729
+        assert etf_eigen_interval(4, 2, 1.0).upper < 0.729
 
     def test_sic_maximally_mixed_achieved_exactly(self, sic):
-        bound = etf_spectral_bound(4, 2, 0.5)
+        bound = etf_eigen_interval(4, 2, 0.5).upper
         assert bound == pytest.approx(0.5, abs=1e-12)
         rho = DensityMatrix(np.eye(2) / 2)
         top = hermitian_eigvals(unraveling_gram(principal_kraus(sic), rho))[0]
@@ -313,7 +344,7 @@ class TestEtfSpectralBound:
         for _, frame in catalog:
             if frame.n == frame.d:
                 continue
-            assert etf_spectral_bound(frame.n, frame.d, 1.0) < 1.0
+            assert etf_eigen_interval(frame.n, frame.d, 1.0).upper < 1.0
 
     @settings(deadline=None, max_examples=30)
     @given(seed=seeds)
@@ -322,7 +353,7 @@ class TestEtfSpectralBound:
         rho = random_density_matrix(2, rng)
         u = transform_unraveling(principal_kraus(sic), haar_unitary(4, rng))
         achieved = np.linalg.norm(unraveling_gram(u, rho), 2)
-        assert etf_spectral_bound(4, 2, purity(rho)) >= achieved - 1e-10
+        assert etf_eigen_interval(4, 2, purity(rho)).upper >= achieved - 1e-10
 
 
 def direct_renyi_bound(n: int, d: int, state_purity: float, alpha: float) -> float:
@@ -342,7 +373,7 @@ def direct_renyi_bound(n: int, d: int, state_purity: float, alpha: float) -> flo
 class TestRenyiUncertaintyBound:
     def test_infinite_order_collapses_to_spectral_term(self):
         bound = renyi_uncertainty_bound(4, 2, 0.8, np.inf)
-        assert bound == pytest.approx(-np.log(etf_spectral_bound(4, 2, 0.8)))
+        assert bound == pytest.approx(-np.log(etf_eigen_interval(4, 2, 0.8).upper))
 
     def test_order_two_sic_pure(self):
         assert renyi_uncertainty_bound(4, 2, 1.0, 2.0) == pytest.approx(
@@ -446,9 +477,7 @@ class TestTsallisUncertaintyBound:
 CLOSED_FORMS = {
     "ic_upper_bound": lambda n, d: ic_upper_bound(n, d, 1.0),
     "gram_frobenius_sq": lambda n, d: gram_frobenius_sq(n, d, 0.5, 1.0),
-    "kd_frobenius_norm": lambda n, d: kd_frobenius_norm(n, d, 0.5, 1.0),
     "etf_eigen_interval": lambda n, d: etf_eigen_interval(n, d, 1.0),
-    "etf_spectral_bound": lambda n, d: etf_spectral_bound(n, d, 1.0),
     "renyi_uncertainty_bound": lambda n, d: renyi_uncertainty_bound(n, d, 1.0, 2.0),
     "tsallis_uncertainty_bound": lambda n, d: tsallis_uncertainty_bound(n, d, 1.0, 1.0),
 }
@@ -465,29 +494,39 @@ class TestImpossibleSizes:
             CLOSED_FORMS[form](n, d)
 
 
-class TestPureStateMargin:
+def pure_state_gap(n: int, d: int) -> float:
+    """(1 - 1/n)^2 - r^2 for the pure-state interval 1/n +- r. It has the
+    sign of 1 - upper, as 1/n + r < 1 exactly when r < 1 - 1/n."""
+    interval = etf_eigen_interval(n, d, 1.0)
+    return (1.0 - 1.0 / n) ** 2 - half_width(interval) ** 2
+
+
+class TestPureStateGap:
+    """The pure-state spectral bound, the upper end of ``etf_eigen_interval``
+    at purity 1, is 1 at n = d and below 1 for every n > d (table B of the
+    roadmap: the gap factors as (d-1)(n-d)(n+d-2)/(d n (n-1)))."""
+
     @pytest.mark.parametrize("d", range(2, 13))
-    def test_zero_at_n_equals_d(self, d):
-        assert pure_state_margin(d, d) == pytest.approx(0.0, abs=1e-12)
+    def test_one_at_n_equals_d(self, d):
+        ulp = np.spacing(1.0)
+        assert abs(etf_eigen_interval(d, d, 1.0).upper - 1.0) <= 4 * ulp
+        assert abs(pure_state_gap(d, d)) <= 4 * ulp
 
-    def test_example_value(self):
-        assert pure_state_margin(4, 2) == pytest.approx(4.0)
-
-    def test_positive_beyond_d(self):
+    def test_below_one_beyond_d(self):
         for d in range(2, 13):
             for n in range(d + 1, d * d + 1):
-                assert pure_state_margin(n, d) > 0.0
+                assert etf_eigen_interval(n, d, 1.0).upper < 1.0, (n, d)
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            pure_state_margin(3, 1)
+    def test_purity_domain(self):
+        for bad in (0.2, 1.2, np.nan):
+            with pytest.raises(ValueError, match="purity must lie in"):
+                etf_eigen_interval(4, 2, bad)
 
-    def test_equals_the_exact_rational_rounded_once(self):
-        """Bit for bit the float of the exact rational margin, root at n = d included."""
-        for d in range(2, 60):
-            for n in [*range(d, d + 60), d * d, d * d + 1, 10**6 + d]:
-                exact = Fraction((d - 1) * n * n, d) - n - d * d + 2 * d
-                assert pure_state_margin(n, d) == float(exact), (n, d)
+    @pytest.mark.parametrize("d", range(2, 60))
+    def test_equals_the_exact_rational(self, d):
+        for n in sorted({*range(d + 1, min(d + 60, d * d) + 1), d * d}):
+            exact = Fraction((d - 1) * (n - d) * (n + d - 2), d * n * (n - 1))
+            assert pure_state_gap(n, d) == pytest.approx(float(exact), rel=1e-13, abs=0), (n, d)
 
 
 class TestReportTypes:

@@ -595,8 +595,20 @@ class TestBoundsCommand:
                 assert check["pass"] is (check["slack"] >= -numeric)
 
     def test_bad_alpha_list_exit_two(self, runner, sic_file):
-        result = runner.invoke(main, ["bounds", sic_file, "--alphas", "2,-1"])
-        assert result.exit_code == 2
+        """An empty list names the missing order; a non-positive order its sign."""
+        for alphas, message in (
+            ("2,-1", "entropy orders must be positive, got"),
+            ("nan", "entropy orders must be positive, got"),
+            ("-0", "entropy orders must be positive, got"),
+            ("", "no entropy order given in"),
+            (",", "no entropy order given in"),
+            (" ", "no entropy order given in"),
+        ):
+            for command in ("bounds", "verify-extremality"):
+                result = runner.invoke(main, [command, sic_file, "--alphas", alphas])
+                assert result.exit_code == 2, (command, alphas)
+                assert result.stdout == ""
+                assert result.stderr == f"Error: {message} {alphas!r}\n"
 
     @pytest.mark.parametrize("alphas", [None, "1.5,3", "inf", "0.05,0.5,0.5000001,50"])
     def test_same_orders_as_verify_extremality(self, runner, sic_file, alphas):

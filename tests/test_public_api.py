@@ -1,5 +1,5 @@
 """Lint for the public surface: every public name is used by a command, a
-script or another library function, or it checks a stated paper result.
+script or another library function.
 
 A public top-level function or class of ``src/kdframes`` counts as used when
 some other top-level statement of the package (``__init__`` aside) or of
@@ -8,7 +8,9 @@ through attribute access, so that a local variable of the same name cannot
 hide it. The click commands are the entry points and need no caller.
 
 The reference computations of ``tests/reference.py`` are the tests' oracle
-and have no twin of the same name in the package.
+and have no twin of the same name in the package. What the benchmark under
+``perfbench/`` reads of the package must exist, so that narrowing the public
+surface cannot break it unseen.
 """
 
 import ast
@@ -20,18 +22,6 @@ import kdframes
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "kdframes"
-
-# Public names no command or script calls, kept because a test checks the
-# paper result they state; each maps to the criterion that uses it.
-PAPER_RESULTS = {
-    "kd_frobenius_norm": "Frobenius norm of the KD matrix is (d/n) times the Gram norm "
-    "(test_bounds TestKdFrobenius)",
-    "singular_interval": "trace/Frobenius interval for singular values "
-    "(test_acceptance criterion 7, test_bounds TestSingularInterval)",
-    "pure_state_margin": "pure-state spectral bound lies below 1 exactly when n > d "
-    "(test_acceptance criterion 8, test_bounds TestPureStateMargin)",
-}
-
 
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
@@ -94,8 +84,8 @@ def _unused() -> set[str]:
     return unused
 
 
-def test_every_public_name_is_used_or_a_paper_result():
-    assert _unused() == set(PAPER_RESULTS)
+def test_every_public_name_is_used():
+    assert _unused() == set()
 
 
 def test_all_lists_exactly_the_imported_public_names():
@@ -141,3 +131,43 @@ def test_one_json_writer():
         if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords)
     ]
     assert calls == []
+
+
+def _kdframes_chain(node) -> tuple[str, ...] | None:
+    """The dotted name ``kdframes.a.b...`` an attribute access reads, or None."""
+    attributes = []
+    while isinstance(node, ast.Attribute):
+        attributes.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id == "kdframes" and attributes:
+        return ("kdframes", *reversed(attributes))
+    return None
+
+
+def test_benchmark_reads_only_what_the_package_has():
+    """Every name ``perfbench/`` imports from ``kdframes`` is in ``__all__``, and
+    every ``kdframes.<module>.<attr>`` it imports or reads resolves."""
+    exported, chains = set(), set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and node.module == "kdframes":
+                exported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("kdframes."):
+                chains |= {(*node.module.split("."), alias.name) for alias in node.names}
+            elif (chain := _kdframes_chain(node)) is not None:
+                chains.add(chain[:3])
+    assert exported and chains
+    assert exported - set(kdframes.__all__) == set()
+
+    submodules = {info.name for info in pkgutil.iter_modules(kdframes.__path__)}
+    unresolved = set()
+    for _, head, *rest in chains:
+        if head in submodules:
+            namespace = importlib.import_module(f"kdframes.{head}")
+        elif hasattr(kdframes, head):
+            namespace = getattr(kdframes, head)
+        else:
+            unresolved.add(f"kdframes.{head}")
+            continue
+        unresolved |= {f"kdframes.{head}.{attr}" for attr in rest if not hasattr(namespace, attr)}
+    assert unresolved == set()
